@@ -374,6 +374,10 @@ def _cmd_faults(args) -> int:
     if args.workloads:
         spec.workloads = tuple(args.workloads.split(","))
     if args.faults is not None:
+        if args.faults < 0:
+            print(f"error: --faults must be >= 0, got {args.faults}",
+                  file=sys.stderr)
+            return 1
         spec.faults_per_combo = args.faults
     progress = None
     if args.verbose:

@@ -160,12 +160,16 @@ class BaseCore:
         #: Optional tracer (repro.cores.tracing.Tracer); None = no cost.
         self.tracer = None
         #: Optional per-step callback ``hook(core)`` invoked before each
-        #: instruction in :meth:`run` — the fault injector and invariant
-        #: checkers of ``repro.faults`` attach here. None = no cost.
+        #: instruction in :meth:`run` (``repro profile``'s opcode
+        #: attribution attaches here); forces the per-instruction path.
+        #: None = no cost.
         self.step_hook = None
-        #: Optional progress guard (repro.faults.guards.ProgressGuard)
-        #: consulted each step in :meth:`run`; raises a structured
-        #: SimulationError on livelock or budget exhaustion.
+        #: Optional watcher (e.g. repro.faults.guards.ProgressGuard)
+        #: whose ``on_step(core)`` sees every instruction boundary and
+        #: may raise a structured SimulationError. A watcher that also
+        #: implements ``limits``/``on_block`` keeps block dispatch on
+        #: (see :meth:`repro.cores.blocks.BlockEngine.dispatch`); one
+        #: without them forces the per-instruction path. None = no cost.
         self.guard = None
         #: Optional one-shot observer ``hook(core)`` fired at the end of
         #: every completed context switch (after ``mret`` fully retires,
@@ -226,16 +230,20 @@ class BaseCore:
     def run(self, max_cycles: int = 10_000_000) -> int:
         """Run until a HALT store or the cycle limit; returns exit code.
 
-        With a block engine attached and nothing observing individual
-        steps (no tracer, step hook or guard), whole predecoded blocks
-        dispatch on the fast path; interrupts, traps, ``mret``, ``wfi``
-        and rescheduling custom/CSR ops fall back to the exact
-        per-instruction path.
+        With a block engine attached, whole predecoded blocks dispatch
+        on the fast path; interrupts, traps, ``mret``, ``wfi`` and
+        rescheduling custom/CSR ops fall back to the exact
+        per-instruction path. A block-aware guard (one with ``limits``)
+        rides along with dispatch; a tracer, a step hook or a guard
+        without ``limits`` observes every instruction and keeps the
+        whole run on the exact path.
         """
         while not self.halted:
             engine = self.block_engine
             if (engine is not None and self.tracer is None
-                    and self.step_hook is None and self.guard is None):
+                    and self.step_hook is None
+                    and (self.guard is None
+                         or hasattr(self.guard, "limits"))):
                 engine.dispatch(max_cycles)
                 if self.halted:
                     break
@@ -287,7 +295,7 @@ class BaseCore:
             if decode_cache:
                 self._decode_cache.pop(word, None)
             if engine is not None:
-                engine.invalidate_word(word)
+                engine.invalidate_word(word, decode_cache)
             word += 4
 
     def _note_code_store(self, addr: int) -> None:

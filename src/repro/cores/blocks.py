@@ -13,10 +13,16 @@ Exactness contract (the whole point):
   (``BaseCore._exec`` / ``_time``) is left untouched and the differential
   tests run both paths against each other.
 * Anything a block cannot replay exactly stays on the exact path:
-  ``mret``, CSR ops, ``wfi``, ``ecall``/``ebreak`` are never predecoded,
-  and a tracer, step hook or progress guard on the core disables block
-  dispatch entirely (fault campaigns and invariant checkers therefore
-  always observe the per-instruction path). RTOSUnit custom ops are
+  ``mret``, ``wfi``, ``ecall``/``ebreak`` are never predecoded, and a
+  tracer or step hook on the core disables block dispatch entirely.
+  A *watcher* on ``core.guard`` (the progress guard, or a fault
+  campaign's guard + injector + invariant-check cadence) keeps dispatch
+  on if it is block-aware: its ``limits`` bound each dispatch by the
+  first cycle and boundary count at which it needs an exact boundary,
+  ``on_step`` runs at every block entry and ``on_block`` accounts for
+  the sequential boundaries inside each block, so the watcher acts at
+  the same boundaries, on the same state, as on the per-instruction
+  path (see :meth:`BlockEngine.dispatch`). RTOSUnit custom ops are
   *tiered*: deterministic FSM interactions (scheduler list ops, hardware
   semaphores) predecode into block-resident records driving per-op fast
   handlers with the exact path's issue/commit arithmetic; ops that can
@@ -68,6 +74,7 @@ from repro.errors import ReproError
 from repro.isa.csr import (MIE, MIP_MEIP, MIP_MSIP, MIP_MTIP, MSTATUS,
                            MSTATUS_MIE)
 from repro.isa.custom import CustomOp
+from repro.isa.encoding import decode
 from repro.isa.instructions import (BLOCK_TERMINATORS, CSR_OPS, FMT_CUSTOM,
                                     SYNC_OPS)
 from repro.mem.memory import MMIO_ADDRS
@@ -434,10 +441,12 @@ class Block:
     ``hot`` counts clean completions toward superblock promotion (-1 once
     promoted or chained, so a block is considered at most once). ``segs``
     is None for plain blocks; for superblocks it is the tuple of
-    constituent entry PCs (in execution order).
+    constituent entry PCs (in execution order). ``deferred`` lists, in
+    record order, ``(index, addr, instr)`` for the words a block built
+    under a watcher decoded but has not yet executed (None when none).
     """
 
-    __slots__ = ("entry", "records", "addrs", "hot", "segs")
+    __slots__ = ("entry", "records", "addrs", "hot", "segs", "deferred")
 
     def __init__(self, entry, records, addrs):
         self.entry = entry
@@ -445,6 +454,7 @@ class Block:
         self.addrs = addrs
         self.hot = 0
         self.segs = None
+        self.deferred = None
 
     def __len__(self):
         return len(self.records)
@@ -587,8 +597,14 @@ class BlockEngine:
                 if not pcs:
                     del addr_map[a]
 
-    def invalidate_word(self, word: int) -> None:
-        """Drop every cached block containing *word* (word-aligned)."""
+    def invalidate_word(self, word: int, decode_cache: bool = False) -> None:
+        """Drop every cached block containing *word* (word-aligned).
+
+        With *decode_cache* (a CPU store, which also drops the word's
+        cached decode) the dropped blocks' deferred decodes of *word* go
+        too: a block that stores into a word it already executed must
+        not commit the pre-store decode afterwards (:meth:`_commit_decodes`).
+        """
         self.slow_pcs.pop(word, None)
         pcs = self.addr_map.get(word)
         if not pcs:
@@ -598,6 +614,9 @@ class BlockEngine:
             block = self.cache.pop(entry, None)
             if block is not None:
                 self._unregister(block)
+                if decode_cache and block.deferred is not None:
+                    block.deferred = tuple(
+                        d for d in block.deferred if d[1] != word) or None
             else:
                 pcs.discard(entry)
         if word in self.addr_map and not self.addr_map[word]:
@@ -632,9 +651,27 @@ class BlockEngine:
 
     # -- predecode -----------------------------------------------------------
 
-    def _build(self, pc: int):
+    def _build(self, pc: int, defer: bool = False):
         core = self.core
         fetch = core._fetch
+        decoded = None
+        if defer:
+            # Under a watcher the decode cache must hold exactly the words
+            # the per-instruction path has fetched: a fault's raw memory
+            # flip leaves cached decodes stale, so a word decoded ahead of
+            # execution would hide a flip the exact path sees. Uncached
+            # words are decoded without caching; dispatch commits them
+            # once executed (:meth:`_commit_decodes`).
+            decoded = {}
+            dcache = core._decode_cache
+            mem = core.mem
+
+            def fetch(addr):
+                instr = dict.get(dcache, addr)
+                if instr is None:
+                    instr = decode(mem.read_word_raw(addr), addr)
+                    decoded[addr] = instr
+                return instr
         custom_handlers = self._custom_handlers
         # The in-order executor resyncs the interrupt horizon *inside*
         # the record loop after a horizon-writing CSR/custom record, so
@@ -709,6 +746,10 @@ class BlockEngine:
         if not records:
             return None
         block = Block(pc, tuple(records), tuple(addrs))
+        if decoded:
+            block.deferred = tuple((i, a, decoded[a])
+                                   for i, a in enumerate(addrs)
+                                   if a in decoded) or None
         self.cache[pc] = block
         addr_map = self.addr_map
         for a in addrs:
@@ -718,6 +759,19 @@ class BlockEngine:
             else:
                 pcs.add(pc)
         return block
+
+    def _commit_decodes(self, block, done: int) -> None:
+        """Move the deferred decodes of *block*'s first *done* (executed)
+        words into the decode cache, as the exact path's fetches would."""
+        dcache = self.core._decode_cache
+        pending = []
+        for entry in block.deferred:
+            index, addr, instr = entry
+            if index >= done:
+                pending.append(entry)
+            elif addr not in dcache:
+                dcache[addr] = instr
+        block.deferred = tuple(pending) or None
 
     # -- interrupt horizon ---------------------------------------------------
 
@@ -770,6 +824,21 @@ class BlockEngine:
         resyncs it in place mid-block to keep executing. Cache
         probes use the raw dict lookup; LRU recency is refreshed only once
         the cache is actually full, when eviction order starts to matter.
+
+        A watcher on ``core.guard`` (a guard with ``limits``) is served at
+        block granularity. ``limits(core)`` gives the first cycle at which
+        it must see an exact instruction boundary, folded into the cycle
+        ceiling (so the in-place horizon resync clamps to it too), and
+        how many boundaries may pass before then; a block is admitted
+        only if its length fits that budget. ``on_step`` runs at block
+        entry and ``on_block`` after the block for the sequential
+        boundaries inside it. Every boundary where the watcher could act
+        — and every boundary whose pc is not the previous pc + 4 — is
+        therefore handed to ``on_step`` with exact state. The limits are
+        read once per call: inside dispatch they can only loosen (a trap
+        resetting the guard's window happens on the exact path), so the
+        budget is counted down locally. No superblocks are promoted or
+        entered under a watcher.
         """
         core = self.core
         cache = self.cache
@@ -781,9 +850,15 @@ class BlockEngine:
         sb_on = self._superblocks_on
         exec_block = self._exec_block
         limit = max_cycles + 1  # bail ceiling handed to the executors
+        watcher = core.guard
+        if watcher is not None:
+            wcycle, budget = watcher.limits(core)
+            if wcycle < limit:
+                limit = wcycle
+            sb_on = False
         horizon = None
         while True:
-            if core.halted or core.cycle > max_cycles:
+            if core.halted or core.cycle >= limit:
                 return
             pc = core.pc
             block = dget(cache, pc)
@@ -794,7 +869,7 @@ class BlockEngine:
                     if counts is not None:
                         counts[pc] = counts.get(pc, 0) + 1
                     return
-                block = self._build(pc)
+                block = self._build(pc, watcher is not None)
                 if block is None:
                     slow_pcs[pc] = True
                     if counts is not None:
@@ -810,7 +885,21 @@ class BlockEngine:
             if horizon <= core.cycle:
                 return
             bail = horizon if horizon < limit else limit
-            rc = exec_block(block, bail, limit)
+            if watcher is None:
+                rc = exec_block(block, bail, limit)
+            else:
+                if len(block) > budget or block.segs is not None:
+                    return
+                watcher.on_step(core)
+                done = self.fast_instret
+                rc = exec_block(block, bail, limit)
+                done = self.fast_instret - done
+                budget -= done
+                deferred = block.deferred
+                if deferred is not None and deferred[0][0] < done:
+                    self._commit_decodes(block, done)
+                if done > 1:
+                    watcher.on_block(core, block.addrs, done)
             if rc:
                 if rc & 1:
                     horizon = None  # MMIO store / custom op: the CLINT or

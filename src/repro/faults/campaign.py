@@ -136,6 +136,47 @@ def _build(core_name: str, config, workload):
     return builder, program, system
 
 
+class _ReplayWatcher:
+    """Guard, injector and invariant-check cadence of one faulted replay.
+
+    At every instruction boundary it runs, in this order, the progress
+    guard, the fault injector and — every ``check_interval`` boundaries —
+    the invariant checker. As a block-aware watcher (see
+    :class:`~repro.faults.guards.ProgressGuard`) it lets block dispatch
+    run between the boundaries that need one of them: the next fault's
+    cycle joins the guard's cycle limit, and the boundaries left before
+    the next check join its boundary budget.
+    """
+
+    def __init__(self, guard: ProgressGuard, injector: FaultInjector,
+                 checker: InvariantChecker, check_interval: int):
+        self.guard = guard
+        self.injector = injector
+        self.checker = checker
+        self.check_interval = check_interval
+        self.steps = 0
+
+    def on_step(self, core) -> None:
+        self.guard.on_step(core)
+        self.injector.on_step(core)
+        self.steps += 1
+        if self.steps % self.check_interval == 0:
+            self.checker.check()
+
+    def limits(self, core) -> tuple[float, int]:
+        cycle, boundaries = self.guard.limits(core)
+        fault_cycle = self.injector.next_cycle
+        if fault_cycle < cycle:
+            cycle = fault_cycle
+        to_check = (self.check_interval
+                    - self.steps % self.check_interval - 1)
+        return cycle, min(boundaries, to_check)
+
+    def on_block(self, core, addrs, n: int) -> None:
+        self.guard.on_block(core, addrs, n)
+        self.steps += n - 1
+
+
 def _run_faulted(core_name: str, config, workload, program, builder,
                  faults: list[FaultSpec], budget: int, window: int,
                  check_interval: int):
@@ -147,16 +188,9 @@ def _run_faulted(core_name: str, config, workload, program, builder,
     injector = FaultInjector(system, faults, symbols=program.symbols)
     checker = InvariantChecker(system, n_tasks=len(builder.tasks),
                                symbols=program.symbols)
-    system.core.guard = ProgressGuard(window=window, cycle_budget=budget)
-    steps = [0]
-
-    def hook(core):
-        injector.on_step(core)
-        steps[0] += 1
-        if steps[0] % check_interval == 0:
-            checker.check()
-
-    system.core.step_hook = hook
+    system.core.guard = _ReplayWatcher(
+        ProgressGuard(window=window, cycle_budget=budget), injector,
+        checker, check_interval)
     try:
         exit_code = system.core.run(max_cycles=budget + window + 1)
     except Exception as exc:  # classified below; nothing escapes bare

@@ -20,6 +20,15 @@ Two failure shapes are recognised:
 
 The optional ``cycle_budget`` duplicates the ``max_cycles`` check with
 structured context, so harness callers get uniform reports.
+
+The guard is a *block-aware watcher*: besides the per-boundary
+:meth:`ProgressGuard.on_step` it implements :meth:`ProgressGuard.limits`
+and :meth:`ProgressGuard.on_block`, so block dispatch keeps running
+under it. ``limits`` names the first cycle and the number of boundaries
+after which the guard must see an exact instruction boundary again;
+``on_block`` accounts for the sequential boundaries inside one
+predecoded block in bulk. Every error is raised at the same boundary,
+with the same state and trace, as on the per-instruction path.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SimulationError
+
+MASK32 = 0xFFFFFFFF
 
 
 class ProgressGuard:
@@ -36,6 +47,10 @@ class ProgressGuard:
     healthy preemptive kernel takes a timer interrupt at least once per
     period, which resets the watch. ``max_distinct_pcs`` bounds how many
     distinct addresses still count as "spinning in place".
+
+    The trace ring records ``(cycle, pc)`` only at boundaries whose pc is
+    not the previous boundary's pc + 4 — taken transfers, trap entries
+    and ``mret`` — which block dispatch always hands to :meth:`on_step`.
     """
 
     def __init__(self, window: int = 50_000, max_distinct_pcs: int = 16,
@@ -49,11 +64,15 @@ class ProgressGuard:
         self._window_traps = 0
         self._window_steps = 0
         self._window_pcs: set[int] = set()
+        self._next_pc: int | None = None  # previous boundary's pc + 4
 
-    # -- hook called by BaseCore.run ------------------------------------------
+    # -- watcher protocol (BaseCore.run / BlockEngine.dispatch) ---------------
 
     def on_step(self, core) -> None:
-        self._trace.append((core.cycle, core.pc))
+        pc = core.pc
+        if pc != self._next_pc:
+            self._trace.append((core.cycle, pc))
+        self._next_pc = (pc + 4) & MASK32
         if self.cycle_budget is not None and core.cycle > self.cycle_budget:
             raise self._error(core, "cycle-budget",
                               f"cycle budget {self.cycle_budget} exhausted")
@@ -65,7 +84,10 @@ class ProgressGuard:
             self._reset_window(core)
             return
         self._window_steps += 1
-        self._window_pcs.add(core.pc)
+        pcs = self._window_pcs
+        # Past max_distinct_pcs the verdict is fixed; the set stops growing.
+        if len(pcs) <= self.max_distinct_pcs:
+            pcs.add(pc)
         elapsed = core.cycle - self._window_start
         if elapsed >= self.window:
             if len(self._window_pcs) <= self.max_distinct_pcs:
@@ -81,6 +103,26 @@ class ProgressGuard:
                 core, "livelock",
                 f"livelock: {self._window_steps} instructions retired but "
                 f"simulated time advanced only {elapsed} cycles")
+
+    def limits(self, core) -> tuple[int, int]:
+        """``(cycle, boundaries)``: the first cycle at which the next
+        boundary must be exact (cycle budget or window end), and how many
+        boundaries may pass before the step-count bound must be checked."""
+        if self._window_start is None:
+            return core.cycle, 0  # the first boundary opens the window
+        cycle = self._window_start + self.window
+        if self.cycle_budget is not None and self.cycle_budget < cycle:
+            cycle = self.cycle_budget + 1
+        return cycle, self.window - self._window_steps - 1
+
+    def on_block(self, core, addrs, n: int) -> None:
+        """Account for the ``n - 1`` sequential boundaries after a block's
+        entry; their pcs are ``addrs[1:n]``."""
+        self._window_steps += n - 1
+        pcs = self._window_pcs
+        if len(pcs) <= self.max_distinct_pcs:
+            pcs.update(addrs[1:n])
+        self._next_pc = (addrs[n - 1] + 4) & MASK32
 
     # -- helpers ----------------------------------------------------------------
 
@@ -102,7 +144,7 @@ class ProgressGuard:
             kind=kind, trace=self.format_trace())
 
     def format_trace(self) -> str:
-        """Render the last N (cycle, pc) pairs, one per line."""
+        """Render the last N recorded (cycle, pc) pairs, one per line."""
         return "\n".join(f"  cycle {cycle:>10d}  pc {pc:#010x}"
                          for cycle, pc in self._trace)
 

@@ -1,17 +1,26 @@
 """Deterministic fault injector: applies scheduled FaultSpecs to a system.
 
-The injector attaches to a core's per-step hook (``core.step_hook`` or a
-composed hook) and applies every fault whose scheduled cycle has been
-reached, exactly once, in schedule order. All corruption goes through
-architectural state (register banks, CSRs, RAM words, scheduler list
-entries, CLINT registers) — never through simulator bookkeeping — so a
-fault behaves like the transient hardware upset it models.
+:meth:`FaultInjector.on_step` runs at instruction boundaries — as
+``core.step_hook`` (per-instruction path) or from a block-aware watcher
+(``core.guard``, see ``repro.faults.campaign``) — and applies every fault
+whose scheduled cycle has been reached, exactly once, in schedule order.
+A watcher folds :attr:`FaultInjector.next_cycle` into its cycle limit,
+so block dispatch stops at the first boundary at or after the fault
+cycle and the fault lands on the same boundary as on the
+per-instruction path.
+
+All corruption goes through architectural state (register banks, CSRs,
+RAM words, scheduler list entries, CLINT registers) — never through
+simulator bookkeeping — so a fault behaves like the transient hardware
+upset it models.
 """
 
 from __future__ import annotations
 
 from repro.errors import FaultInjectionError
 from repro.faults.model import CSR_TARGETS, FaultSpec
+
+_INF = float("inf")
 
 
 class FaultInjector:
@@ -37,6 +46,11 @@ class FaultInjector:
             fault = self.queue.pop(0)
             detail = self._apply(fault)
             self.applied.append((core.cycle, fault, detail))
+
+    @property
+    def next_cycle(self) -> float:
+        """Cycle of the next scheduled fault; infinite once all applied."""
+        return self.queue[0].cycle if self.queue else _INF
 
     @property
     def done(self) -> bool:

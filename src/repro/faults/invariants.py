@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import MemoryError_
 from repro.kernel.layout import (
     LIST_COUNT,
     MAX_PRIORITIES,
@@ -59,10 +60,15 @@ class InvariantChecker:
 
     def _slot_checksum(self, slot: int) -> int:
         memory = self.system.memory
+        try:
+            words = memory.read_words_raw(slot, 31)  # 29 GPRs + mstatus + mepc
+        except MemoryError_:
+            # Re-read word by word so the error names the first bad word.
+            words = [memory.read_word_raw(slot + 4 * index)
+                     for index in range(31)]
         checksum = 0
-        for index in range(31):  # 29 GPRs + mstatus + mepc
-            checksum = (checksum * 31 + memory.read_word_raw(
-                slot + 4 * index)) & 0xFFFFFFFF
+        for word in words:
+            checksum = (checksum * 31 + word) & 0xFFFFFFFF
         return checksum
 
     def on_context_stored(self, task_id: int, slot: int) -> None:

@@ -173,8 +173,10 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     first run of a content key simulates cold and checkpoints itself at
     the measurement boundary and at completion; identical later runs
     replay the final snapshot (or resume the boundary one) and produce
-    byte-identical results. A ``guard`` forces the exact cold path, and
-    ``REPRO_SNAPSHOT=0`` disables warm-starting globally.
+    byte-identical results. A ``guard`` forces a cold run (it must
+    observe every boundary from reset; a block-aware guard such as
+    ``ProgressGuard`` keeps block dispatch on), and ``REPRO_SNAPSHOT=0``
+    disables warm-starting globally.
     """
     from repro.snapshot import snapshot_enabled, snapshot_key, store
 

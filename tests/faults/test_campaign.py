@@ -84,6 +84,15 @@ def test_cli_faults_quick_runs(capsys):
     assert "outcome classes observed:" in out
 
 
+def test_cli_faults_rejects_a_negative_count(capsys):
+    from repro.cli import main
+
+    assert main(["faults", "--seed", "42", "--quick", "--faults", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --faults must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_parallel_campaign_matches_serial(quick_campaign):
     """--jobs fans injection runs over a pool without changing results."""
     parallel = run_campaign(CampaignSpec.quick(seed=42), jobs=2)

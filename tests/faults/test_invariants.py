@@ -1,6 +1,9 @@
 """Runtime invariant checker: clean on healthy runs, loud on corruption."""
 
+import pytest
+
 from repro.cores.system import build_system
+from repro.errors import MemoryError_
 from repro.faults import InvariantChecker
 from repro.kernel.builder import KernelBuilder
 from repro.kernel.layout import NODE_NEXT, NODE_SIZE, STACK_CANARY
@@ -176,3 +179,26 @@ def test_observer_is_attached_to_the_unit():
     builder, program, system = _build("SLT")
     checker = _checker(builder, program, system)
     assert system.unit.observer is checker
+
+
+def test_slot_checksum_matches_the_word_by_word_formula():
+    builder, program, system = _build("SLT")
+    checker = _checker(builder, program, system)
+    memory = system.memory
+    slot = system.layout.context_region.slot_addr(1)
+    for index in range(31):
+        memory.write_word_raw(slot + 4 * index, 0x9E37_79B1 * (index + 1))
+    expected = 0
+    for index in range(31):
+        expected = (expected * 31
+                    + memory.read_word_raw(slot + 4 * index)) & 0xFFFFFFFF
+    assert checker._slot_checksum(slot) == expected
+
+
+def test_slot_checksum_names_the_first_word_outside_ram():
+    builder, program, system = _build("SLT")
+    checker = _checker(builder, program, system)
+    slot = system.memory.size - 8  # two words in RAM, the rest beyond it
+    with pytest.raises(MemoryError_, match=f"access at {slot + 8:#010x} "
+                                           r"\(\+4\)"):
+        checker._slot_checksum(slot)
