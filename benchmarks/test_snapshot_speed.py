@@ -1,29 +1,24 @@
 """Meta-benchmark: warm-start speedup + byte-identity gate.
 
 Not a paper figure — this is the CI gate for the warm-start engine
-(``repro.snapshot``): the kernel build cache, the boot/final snapshot
-tiers and the copy-on-write memory image. It runs the headline suite
-(cv32e40p / vanilla, 20 iterations) three ways:
+(``repro.snapshot``): the kernel build cache, the result memo and the
+capture/restore path. It runs the headline suite (cv32e40p / vanilla,
+20 iterations) three ways:
 
 * **cold** — ``REPRO_SNAPSHOT=0``: build, assemble and simulate from
   scratch, the exact path every run took before this engine existed;
 * **populate** — warm-start enabled, empty store: pays the cold cost
-  plus the capture overhead (reported so a capture-cost regression is
-  visible);
-* **warm** — the same suite again: every run replays its final
-  snapshot;
-* **boundary** — final snapshots evicted, boundary snapshots kept: every
-  run restores the first-measured-switch state and simulates only the
-  measured phase, exercising the mid-tier resume path end to end.
+  plus the cost of storing each result memo (reported so a
+  store-cost regression is visible);
+* **warm** — the same suite again: every run is served from its memo.
 
 and asserts that the warm pass is at least ``WARM_SPEEDUP_GATE`` times
-faster than cold, that capture overhead stays bounded, that the
-boundary pass actually resumes (``boundary_hits`` covers every
-workload), and that the warm *and* boundary results are
-**byte-identical** to cold — latencies, every switch record, core
-stats, and the final register banks of the materialized end state.
-Numbers land in ``BENCH_snapshot.json`` at the repo root (see
-docs/SNAPSHOT.md).
+faster than cold, that the populate overhead stays bounded, and that
+the warm results are **byte-identical** to cold — latencies, every
+switch record, core stats. The end state is checked too: a finished
+system captured and re-materialized must match a cold system's register
+banks and RAM. Numbers land in ``BENCH_snapshot.json`` at the repo root
+(see docs/SNAPSHOT.md).
 """
 
 import dataclasses
@@ -33,11 +28,9 @@ import time
 
 from repro.harness.experiment import run_suite
 from repro.kernel.builder import KernelBuilder, reset_program_cache
-from repro.mem.regions import MemoryLayout
 from repro.rtosunit.config import parse_config
 from repro.perf import bench_record
-from repro.snapshot import final_system, reset_store, store
-from repro.snapshot.cache import snapshot_key
+from repro.snapshot import reset_store, store
 from repro.workloads.suite import RTOSBENCH_WORKLOADS
 
 from benchmarks.conftest import publish
@@ -48,8 +41,8 @@ ITERATIONS = 20
 HEADLINE = ("cv32e40p", "vanilla")
 #: Gated: warm suite vs cold suite wall-clock ratio.
 WARM_SPEEDUP_GATE = 3.0
-#: Gated: the populate pass (cold + capture) may cost at most this much
-#: more than the plain cold pass.
+#: Gated: the populate pass (cold + memo stores) may cost at most this
+#: much more than the plain cold pass.
 CAPTURE_OVERHEAD_CEILING = 2.0
 COLD_REPEATS = 3
 
@@ -116,34 +109,19 @@ def test_warm_start_speedup():
         workload = factory(iterations=ITERATIONS)
         builder = KernelBuilder(config=config, objects=workload.objects,
                                 tick_period=workload.tick_period)
-        reference = builder.build(core,
-                                  external_events=workload.external_events)
-        reference.run(workload.max_cycles)
-        warm_system = final_system(core, config, workload)
-        assert warm_system is not None
-        assert [list(b) for b in warm_system.core.banks] == \
+        systems = []
+        for _ in range(2):
+            system = builder.build(core,
+                                   external_events=workload.external_events)
+            system.run(workload.max_cycles)
+            systems.append(system)
+        reference, finished = systems
+        restored = finished.capture().materialize()
+        assert [list(b) for b in restored.core.banks] == \
             [list(b) for b in reference.core.banks], (
-                f"{workload.name}: final register banks diverged warm vs "
-                f"cold")
-        assert bytes(warm_system.memory.data) == bytes(reference.memory.data)
-
-    # -- boundary tier: evict finals, keep boundary snapshots, re-run ---
-    layout = MemoryLayout()
-    for factory in RTOSBENCH_WORKLOADS:
-        workload = factory(iterations=ITERATIONS)
-        builder = KernelBuilder(config=config, objects=workload.objects,
-                                layout=layout, tick_period=workload.tick_period)
-        key = snapshot_key(core, config, layout, workload, builder.source())
-        entry = store().peek(key)
-        assert entry is not None, f"{workload.name}: no snapshot entry"
-        assert entry.boundary is not None, (
-            f"{workload.name}: no boundary snapshot captured")
-        entry.final = None
-    boundary_hits_before = store().stats.boundary_hits
-    boundary_suite, boundary_wall = _suite_pass(core, config)
-    boundary_hits = store().stats.boundary_hits - boundary_hits_before
-    assert _suite_obs(boundary_suite) == cold_obs
-    stats = store().stats
+                f"{workload.name}: final register banks diverged captured "
+                f"vs cold")
+        assert bytes(restored.memory.data) == bytes(reference.memory.data)
 
     speedup = cold_wall / warm_wall if warm_wall else float("inf")
     capture_overhead = populate_wall / cold_wall if cold_wall else 1.0
@@ -156,10 +134,8 @@ def test_warm_start_speedup():
         "cold_wall_s": round(cold_wall, 4),
         "populate_wall_s": round(populate_wall, 4),
         "warm_wall_s": round(warm_wall, 4),
-        "boundary_wall_s": round(boundary_wall, 4),
         "speedup": round(speedup, 2),
         "capture_overhead": round(capture_overhead, 3),
-        "boundary_hits": boundary_hits,
         "store": stats.as_dict(),
     })
     BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -168,21 +144,14 @@ def test_warm_start_speedup():
         f"populate {populate_wall * 1000:8.1f} ms  "
         f"(overhead {capture_overhead:.2f}x)",
         f"warm     {warm_wall * 1000:8.1f} ms  (speedup {speedup:.1f}x)",
-        f"boundary {boundary_wall * 1000:8.1f} ms  "
-        f"({boundary_hits} boundary hits)",
-        f"store    {stats.final_hits} final hits / "
-        f"{stats.boundary_hits} boundary hits / {stats.misses} misses",
+        f"store    {stats.final_hits} final hits / {stats.misses} misses",
     ]))
 
     assert stats.final_hits == len(RTOSBENCH_WORKLOADS), (
         "warm pass did not replay every workload from the store")
-    assert boundary_hits >= len(RTOSBENCH_WORKLOADS), (
-        "boundary pass did not resume every workload from its "
-        "first-measured-switch snapshot")
-    assert stats.boundary_hits > 0
     assert speedup >= WARM_SPEEDUP_GATE, (
         f"warm-start speedup {speedup:.2f}x below the "
         f"{WARM_SPEEDUP_GATE}x gate")
     assert capture_overhead <= CAPTURE_OVERHEAD_CEILING, (
-        f"populate pass costs {capture_overhead:.2f}x cold: snapshot "
-        f"capture overhead regressed")
+        f"populate pass costs {capture_overhead:.2f}x cold: memo "
+        f"store overhead regressed")

@@ -109,7 +109,7 @@ def _episodes() -> tuple[Episode, ...]:
                 env=(("REPRO_SNAPSHOT", "0"),), submits=2),
         Episode("snapshot-read-corrupt",
                 ChaosSpec("corrupt_blob", "snapshot.read", at=1,
-                          note="bit flip in a warm snapshot"),
+                          note="bit flip in a result memo"),
                 env=(("REPRO_SNAPSHOT_VERIFY", "1"),), submits=2),
         Episode("worker-crash-retry",
                 ChaosSpec("worker_crash", "worker.run", at=1,
@@ -117,9 +117,6 @@ def _episodes() -> tuple[Episode, ...]:
         Episode("worker-crash-poison",
                 ChaosSpec("worker_crash", "worker.run", at=0, rate=1.0,
                           note="worker dies every attempt")),
-        Episode("boundary-crash-resume",
-                ChaosSpec("worker_crash", "worker.boundary", at=1,
-                          note="dies after banking warm state")),
         Episode("spool-result-dropped",
                 ChaosSpec("drop_result", "spool.result", at=1,
                           note="result write silently lost"),
@@ -246,7 +243,6 @@ def _drive_service(episode: Episode, request, workdir) -> tuple[list, dict]:
                                     if cache is not None else 0),
         "build_corrupt_evictions": BUILD_CACHE_HEALTH.corrupt_evictions,
         "snapshot_corrupt_evictions": store().stats.corrupt_evictions,
-        "boundary_hits": store().stats.boundary_hits,
         "worker_retries": stats.pool.retries,
         "worker_crashes": stats.pool.crashes,
         "pool_restarts": stats.pool.restarts,
@@ -301,7 +297,6 @@ def _drive_spool(episode: Episode, request, workdir) -> tuple[list, dict]:
         "cache_corrupt_evictions": 0,
         "build_corrupt_evictions": 0,
         "snapshot_corrupt_evictions": 0,
-        "boundary_hits": 0,
         "worker_retries": pool.get("retries", 0),
         "worker_crashes": pool.get("crashes", 0),
         "pool_restarts": pool.get("restarts", 0),
@@ -342,10 +337,7 @@ def _classify(outcomes: list, counters: dict, golden: str) -> tuple[str, str]:
             detail += f"; healed: {', '.join(healed)}"
         return "degraded", detail
     if healed:
-        detail = f"healed: {', '.join(healed)}"
-        if counters.get("boundary_hits"):
-            detail += f"; boundary_hits={counters['boundary_hits']}"
-        return "detected", detail
+        return "detected", f"healed: {', '.join(healed)}"
     return "masked", "behaviour identical to golden run"
 
 

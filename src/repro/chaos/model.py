@@ -66,7 +66,6 @@ CHAOS_KINDS: tuple[str, ...] = (
 #: Injection sites — explicit hook points in the production code.
 CHAOS_SITES: tuple[str, ...] = (
     "worker.run",       # dse.executor.execute_point, before simulating
-    "worker.boundary",  # harness.experiment, right after boundary capture
     "cache.read",       # dse.cache.ResultCache.get, before decoding
     "cache.write",      # dse.cache.ResultCache.put, before the store
     "build.read",       # kernel.builder.assemble_cached, on a cache hit
@@ -78,7 +77,6 @@ CHAOS_SITES: tuple[str, ...] = (
 #: the hooks simply ignore kinds their site cannot interpret).
 SITE_KINDS: dict[str, tuple[str, ...]] = {
     "worker.run": ("worker_crash", "worker_hang", "slow_io"),
-    "worker.boundary": ("worker_crash",),
     "cache.read": ("corrupt_blob", "truncate_blob", "slow_io"),
     "cache.write": ("partial_write", "slow_io"),
     "build.read": ("corrupt_blob", "truncate_blob"),

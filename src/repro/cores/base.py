@@ -173,10 +173,9 @@ class BaseCore:
         self.guard = None
         #: Optional one-shot observer ``hook(core)`` fired at the end of
         #: every completed context switch (after ``mret`` fully retires,
-        #: with all state — including ``instret`` — settled). The warm-
-        #: start harness attaches here to capture the boundary snapshot
-        #: at the first measured switch; it is passive and does not force
-        #: the exact path. None = no cost.
+        #: with all state — including ``instret`` — settled), e.g. to
+        #: capture a mid-run snapshot at a switch boundary; it is
+        #: passive and does not force the exact path. None = no cost.
         self.switch_hook = None
         #: Basic-block predecoded dispatch (repro.cores.blocks); None
         #: forces the per-instruction path. Architecturally invisible —

@@ -117,15 +117,15 @@ class System:
         if self.unit is not None and boot_task_id is not None:
             self.unit.boot(boot_task_id)
 
-    def load_image(self, program: Program, blob: bytes,
+    def load_image(self, program: Program, segments,
                    boot_task_id: int | None = None) -> None:
-        """Like :meth:`load`, from a pre-rendered flat image.
+        """Like :meth:`load`, from pre-rendered ``(addr, bytes)`` segments.
 
-        The kernel build cache renders the word dict into a blob once;
-        every later system blits it with one slice assignment instead of
-        a per-word Python loop.
+        The kernel build cache renders the word dict into contiguous
+        segments once; every later system blits them with one slice
+        assignment each instead of a per-word Python loop.
         """
-        self.memory.load_blob(blob)
+        self.memory.load_segments(segments)
         self.core.pc = program.entry
         if self.unit is not None and boot_task_id is not None:
             self.unit.boot(boot_task_id)

@@ -27,6 +27,7 @@ from repro.dse.executor import (
     DSEExecutor,
     GridPoint,
     PoolHealth,
+    WorkerPool,
     build_grid,
     execute_point,
     group_suites,
@@ -56,6 +57,7 @@ __all__ = [
     "ProgressMeter",
     "ResultCache",
     "SweepManifest",
+    "WorkerPool",
     "annotate_pareto",
     "build_grid",
     "dominates",

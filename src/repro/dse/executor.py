@@ -28,6 +28,7 @@ Two entry points:
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -84,12 +85,13 @@ def execute_point(point: GridPoint):
     picklable dataclass; returns the full :class:`RunResult` (all its
     fields are plain dataclasses, so it pickles back intact).
 
-    Warm-starting rides along for free: ``run_workload`` consults the
-    process-local snapshot store (:mod:`repro.snapshot`), so each pool
-    worker pays the cold build + boot + warmup of a content key once and
-    replays it for every later grid point that shares it — typically
-    every (config, workload) column revisited across seeds or repeated
-    sweeps within one worker's lifetime.
+    ``run_workload`` consults the process-local result memo
+    (:mod:`repro.snapshot`), so a worker simulates each content key
+    once and answers later points that share it — exact repeats and
+    seed-only variants — from the memo. Only what the same process
+    has run can hit: a :class:`DSEExecutor` pool lives for one sweep,
+    while the job service keeps one :class:`WorkerPool` for its whole
+    lifetime.
     """
     from repro.chaos import hooks as chaos_hooks
     from repro.harness.experiment import derive_point_seed, run_workload
@@ -157,25 +159,75 @@ def _run_serial(worker, items, retries: int, on_result, on_poison,
     return results
 
 
-def _replace_pool(pool, jobs: int, health: PoolHealth):
-    """Tear down a broken/stalled pool — processes included — and rebuild.
+class WorkerPool:
+    """A supervised process pool that outlives a single map.
 
-    ``Future.cancel`` cannot stop a *running* task, so a stalled worker
-    would otherwise occupy a slot forever; the supervisor terminates the
-    worker processes outright and starts a fresh pool.
+    Wraps a :class:`concurrent.futures.ProcessPoolExecutor` so a caller
+    that maps many batches (the job service) keeps its worker processes
+    — and their warm state — across batches. :meth:`replace` swaps in a
+    fresh executor after a crash or stall; the replacement stays in use
+    for later batches. :meth:`close` shuts the pool down for good. A
+    closed pool never rebuilds: a map still running when its owner
+    stops finishes on the existing workers, and a crash after that
+    raises :class:`ExplorationError` instead of forking new ones.
     """
-    health.restarts += 1
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    return concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.closed = False
+        self._lock = threading.Lock()
+        self._executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs)
+
+    @property
+    def pids(self) -> list:
+        """PIDs of the live worker processes (telemetry and tests)."""
+        return sorted(getattr(self._executor, "_processes", {}) or {})
+
+    def submit(self, fn, item):
+        with self._lock:
+            if self.closed:
+                raise ExplorationError("worker pool is closed")
+            return self._executor.submit(fn, item)
+
+    def replace(self, health: PoolHealth) -> None:
+        """Tear down the executor — processes included — and rebuild.
+
+        ``Future.cancel`` cannot stop a *running* task, so a stalled
+        worker would otherwise occupy a slot forever; the supervisor
+        terminates the worker processes outright and starts a fresh
+        executor. Raises :class:`ExplorationError` once closed.
+        """
+        with self._lock:
+            if self.closed:
+                raise ExplorationError("worker pool is closed")
+            health.restarts += 1
+            old = self._executor
+            self._executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.jobs)
+        processes = list((getattr(old, "_processes", None) or {}).values())
+        old.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+
+    def close(self, wait: bool = True) -> None:
+        """Shut down for good. Idempotent.
+
+        ``wait=True`` lets submitted tasks finish and joins the worker
+        processes; ``wait=False`` cancels queued tasks and returns at
+        once.
+        """
+        with self._lock:
+            self.closed = True
+            executor = self._executor
+        executor.shutdown(wait=wait, cancel_futures=not wait)
 
 
 def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                  retries: int = 1, on_result=None, on_poison=None,
-                 health: PoolHealth | None = None) -> list:
+                 health: PoolHealth | None = None,
+                 pool: WorkerPool | None = None) -> list:
     """Order-preserving map with a supervised process-pool fan-out.
 
     ``jobs <= 1`` runs in-process (no pickling constraints). Otherwise
@@ -199,6 +251,10 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
     completion order) for progress telemetry; ``health`` accumulates
     supervision counters. Results come back in item order regardless of
     completion order.
+
+    ``pool`` (a :class:`WorkerPool` of the caller's) runs the map on
+    long-lived workers and is left open — replaced in place if it had to
+    be rebuilt; without it the map creates its own pool and closes it.
     """
     items = list(items)
     health = health if health is not None else PoolHealth()
@@ -207,14 +263,24 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                            health)
 
     results = [None] * len(items)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    owned = pool is None
+    if owned:
+        pool = WorkerPool(jobs)
     futures: dict = {}            # future -> item index
     deadlines: dict = {}          # item index -> absolute deadline | None
     attempts = dict.fromkeys(range(len(items)), 0)
 
     def start(index: int) -> None:
         attempts[index] += 1
-        futures[pool.submit(worker, items[index])] = index
+        try:
+            future = pool.submit(worker, items[index])
+        except concurrent.futures.process.BrokenProcessPool as exc:
+            # A worker died before this submission (possibly between
+            # maps of a long-lived pool): fail it like a task lost to
+            # that death, so the loop below rebuilds the pool once.
+            future = concurrent.futures.Future()
+            future.set_exception(exc)
+        futures[future] = index
         deadlines[index] = (time.monotonic() + timeout
                             if timeout is not None else None)
 
@@ -287,15 +353,22 @@ def parallel_map(worker, items, jobs: int = 1, timeout: float | None = None,
                     attempts[index] -= 1  # not the survivor's failure
                 futures.clear()
                 deadlines.clear()
-                pool = _replace_pool(pool, jobs, health)
+                pool.replace(health)
                 for index in survivors:
                     start(index)
             for index, result in completed:
                 finish(index, result)
             for index, reason in failed + broken:
                 charge(index, reason)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    except BaseException:
+        if owned:
+            pool.close(wait=False)
+        raise
+    if owned:
+        # Join the idle workers: a pool thread still winding down at
+        # interpreter exit can make CPython's exit hook write to a
+        # closed pipe.
+        pool.close()
     return results
 
 

@@ -100,7 +100,7 @@ class SuiteResult:
 
 def _result_from(system, core: str, config: RTOSUnitConfig,
                  workload: Workload, seed: int) -> RunResult:
-    """Distil a finished (or restored-final) system into a RunResult."""
+    """Distil a finished system into a RunResult."""
     switches = system.switches[workload.warmup_switches:]
     latencies = [s.latency for s in switches]
     return RunResult(
@@ -127,37 +127,6 @@ def _check_exit(exit_code: int, core: str, config: RTOSUnitConfig,
             pc=system.core.pc, cycle=system.core.cycle)
 
 
-def _arm_boundary_capture(system, entry, warmup: int, stats) -> None:
-    """Capture the post-warmup boundary snapshot when the run reaches it.
-
-    The hook fires at the end of each completed context switch; once
-    ``warmup`` switches have retired the system is checkpointed and the
-    hook detaches itself — the rest of the run pays nothing.
-
-    The ``worker.boundary`` chaos site fires right *after* the capture:
-    an injected crash there models a worker dying mid-run with warm
-    state already banked, so the retry (same process) enters through
-    the boundary-resume tier instead of simulating cold again.
-    """
-    from repro.chaos.hooks import fire as chaos_fire
-
-    if warmup <= 0:
-        # No warmup phase: the boot image itself is the boundary.
-        entry.boundary = system.capture()
-        stats.boundary_captures += 1
-        chaos_fire("worker.boundary")
-        return
-
-    def hook(core) -> None:
-        if len(core.switch_events) >= warmup:
-            core.switch_hook = None
-            entry.boundary = system.capture()
-            stats.boundary_captures += 1
-            chaos_fire("worker.boundary")
-
-    system.core.switch_hook = hook
-
-
 def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
                  layout: MemoryLayout | None = None,
                  guard=None, seed: int = 0) -> RunResult:
@@ -169,14 +138,14 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
     ``max_cycles`` wall. ``seed`` is recorded on the result and keys the
     DSE cache; the simulation itself is deterministic.
 
-    Repeat runs are **warm-started** through :mod:`repro.snapshot`: the
-    first run of a content key simulates cold and checkpoints itself at
-    the measurement boundary and at completion; identical later runs
-    replay the final snapshot (or resume the boundary one) and produce
-    byte-identical results. A ``guard`` forces a cold run (it must
-    observe every boundary from reset; a block-aware guard such as
-    ``ProgressGuard`` keeps block dispatch on), and ``REPRO_SNAPSHOT=0``
-    disables warm-starting globally.
+    Repeat runs are **memoised** through :mod:`repro.snapshot`: the
+    first run of a content key simulates cold and stores its result;
+    identical later runs — seed-only variants included, since the seed
+    never reaches the simulation — return a private copy of it, stamped
+    with their own seed, byte-identical to a cold run. A ``guard``
+    forces a cold run (it must observe the run from reset; a
+    block-aware guard such as ``ProgressGuard`` keeps block dispatch
+    on), and ``REPRO_SNAPSHOT=0`` disables the memo globally.
     """
     from repro.snapshot import snapshot_enabled, snapshot_key, store
 
@@ -184,43 +153,28 @@ def run_workload(core: str, config: RTOSUnitConfig, workload: Workload,
                             layout=layout or MemoryLayout(),
                             tick_period=workload.tick_period)
     snapshots = store()
-    if guard is not None or not snapshot_enabled():
-        if guard is not None:
-            snapshots.stats.bypasses += 1
-        system = builder.build(core, external_events=workload.external_events)
-        if guard is not None:
-            system.core.guard = guard
-        exit_code = system.run(max_cycles=workload.max_cycles)
-        _check_exit(exit_code, core, config, workload, system)
-        return _result_from(system, core, config, workload, seed)
-
-    key = snapshot_key(core, config, builder.layout, workload,
-                       builder.source())
-    entry = snapshots.entry(key)
-    # Read each tier exactly once: in verified-store mode every property
-    # read re-checks the digest, and a corrupt slot self-evicts to None.
-    final = entry.final
-    if final is not None:
-        # Fastest tier: replay the finished run outright.
-        snapshots.stats.final_hits += 1
-        return _result_from(final.materialize(), core, config,
-                            workload, seed)
-    boundary = entry.boundary
-    if boundary is not None:
-        # Resume at the measurement boundary: boot + warmup are skipped.
-        snapshots.stats.boundary_hits += 1
-        system = boundary.materialize()
-    else:
+    entry = None
+    if guard is not None:
+        snapshots.stats.bypasses += 1
+    elif snapshot_enabled():
+        entry = snapshots.entry(snapshot_key(
+            core, config, builder.layout, workload, builder.source()))
+        memo = entry.final  # one read: verified mode re-checks per access
+        if memo is not None:
+            snapshots.stats.final_hits += 1
+            memo.seed = seed
+            return memo
         snapshots.stats.misses += 1
-        system = builder.build(core, external_events=workload.external_events)
-        _arm_boundary_capture(system, entry,
-                              workload.warmup_switches, snapshots.stats)
+    system = builder.build(core, external_events=workload.external_events)
+    if guard is not None:
+        system.core.guard = guard
     exit_code = system.run(max_cycles=workload.max_cycles)
-    system.core.switch_hook = None  # runs too short to hit the boundary
     _check_exit(exit_code, core, config, workload, system)
-    entry.final = system.capture()
-    snapshots.stats.final_captures += 1
-    return _result_from(system, core, config, workload, seed)
+    result = _result_from(system, core, config, workload, seed)
+    if entry is not None:
+        entry.final = result
+        snapshots.stats.final_stores += 1
+    return result
 
 
 def _resolve_workloads(workloads, iterations: int) -> list[Workload]:

@@ -10,6 +10,7 @@ FreeRTOS-extension story of the paper.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from repro.chaos.hooks import fire as _chaos_fire
@@ -30,12 +31,15 @@ ext_irq_handler:
     ret
 """
 
-#: Content-addressed build cache: (source text, origin) →
-#: (Program, blob, blob digest). The assembler is pure, so identical
-#: source assembles identically — each distinct kernel image is
-#: assembled once per process and then shared by every run, sweep cell
-#: and DSE pool worker that needs it.
+#: Content-addressed build cache: (sha256 of the source text, origin) →
+#: (Program, packed image, image digest, segments viewing the image).
+#: The assembler is pure, so identical source assembles identically —
+#: each distinct kernel image is assembled once per process and then
+#: shared by every run, sweep cell and pool worker that needs it.
 _PROGRAM_CACHE: LRUCache = LRUCache(64)
+
+#: Per-segment header of a packed image: start address, byte length.
+_SEGMENT_HEADER = struct.Struct("<II")
 
 
 class _BuildCacheHealth:
@@ -52,39 +56,74 @@ class _BuildCacheHealth:
 BUILD_CACHE_HEALTH = _BuildCacheHealth()
 
 
-def assemble_cached(source: str, origin: int) -> tuple[Program, bytes]:
-    """Assemble *source*, memoized, with a pre-rendered flat image.
+def _pack_segments(words: dict[int, int]) -> bytes:
+    """Pack assembled words into contiguous ``(addr, bytes)`` segments.
 
-    The blob covers address 0 through the highest assembled word, ready
-    for :meth:`Memory.load_blob`'s single slice blit. Every hit is
-    digest-verified: a blob that no longer hashes to what was stored
-    (in-memory corruption, or an injected chaos fault) is evicted,
-    counted, and rebuilt from source — never loaded into a system.
+    The packed form is one blob of ``<addr, length>`` headers, each
+    followed by its segment's bytes, so a single digest covers the
+    addresses as well as the contents.
     """
-    key = (source, origin)
+    runs: list[tuple[int, list[int]]] = []
+    for addr in sorted(words):
+        if not runs or addr != runs[-1][0] + 4 * len(runs[-1][1]):
+            runs.append((addr, []))
+        runs[-1][1].append(words[addr])
+    return b"".join(
+        _SEGMENT_HEADER.pack(start, 4 * len(run))
+        + struct.pack(f"<{len(run)}I", *run)
+        for start, run in runs)
+
+
+def _unpack_segments(packed: bytes) -> tuple:
+    """``(addr, memoryview)`` segments viewing *packed* without copies."""
+    view = memoryview(packed)
+    segments = []
+    offset = 0
+    while offset < len(packed):
+        addr, length = _SEGMENT_HEADER.unpack_from(packed, offset)
+        offset += _SEGMENT_HEADER.size
+        segments.append((addr, view[offset:offset + length]))
+        offset += length
+    return tuple(segments)
+
+
+def assemble_cached(source: str, origin: int):
+    """Assemble *source*, memoized; returns ``(Program, segments)``.
+
+    ``segments`` are the image's contiguous ``(addr, bytes-like)``
+    runs, ready for :meth:`System.load_image` to blit — a few KiB per
+    kernel instead of a flat image from address 0. They are views of
+    the packed image, and every hit digest-verifies that image: one
+    that no longer hashes to what was stored (in-memory corruption, or
+    an injected chaos fault) is evicted, counted, and rebuilt from
+    source — never loaded into a system.
+    """
+    key = (hashlib.sha256(source.encode()).hexdigest(), origin)
     cached = _PROGRAM_CACHE.get(key)
     if cached is not None:
-        program, blob, digest = cached
+        program, packed, digest, segments = cached
         spec = _chaos_fire("build.read")
         if spec is not None:
-            blob = mangle_blob(blob, spec.kind)
-        if hashlib.sha256(blob).hexdigest() == digest:
-            return program, blob
+            packed = mangle_blob(packed, spec.kind)
+        if hashlib.sha256(packed).hexdigest() == digest:
+            return program, segments
         del _PROGRAM_CACHE[key]
         BUILD_CACHE_HEALTH.corrupt_evictions += 1
     program = assemble(source, origin=origin)
-    top = max(program.words) + 4 if program.words else 0
-    image = bytearray(top)
-    for addr, word in program.words.items():
-        image[addr:addr + 4] = word.to_bytes(4, "little")
-    blob = bytes(image)
-    _PROGRAM_CACHE[key] = (program, blob,
-                           hashlib.sha256(blob).hexdigest())
-    return program, blob
+    packed = _pack_segments(program.words)
+    segments = _unpack_segments(packed)
+    _PROGRAM_CACHE[key] = (program, packed,
+                           hashlib.sha256(packed).hexdigest(), segments)
+    return program, segments
 
 
 def reset_program_cache() -> None:
-    """Drop all memoized builds (tests and long-lived services)."""
+    """Drop all memoized builds and reset the build-cache health counters.
+
+    Tests and benchmarks call it to start from cold assembly; a
+    long-lived service worker never needs to, because the cache is an
+    LRU of compact images.
+    """
     _PROGRAM_CACHE.clear()
     BUILD_CACHE_HEALTH.corrupt_evictions = 0
 
@@ -148,7 +187,7 @@ class KernelBuilder:
         """Render the complete assembly source (memoized).
 
         The rendered text doubles as the content-address of the build:
-        the warm-start snapshot key and the program cache both hash it,
+        the result-memo key and the program cache both hash it,
         so it must (and does) capture every input that can change the
         image.
         """
@@ -199,12 +238,13 @@ class KernelBuilder:
     def build(self, core_name: str, external_events=None,
               mem_size: int = 1 << 20) -> System:
         """Assemble (cached) and load into a ready-to-run :class:`System`."""
-        program, blob = assemble_cached(self.source(), self.layout.text_base)
+        program, segments = assemble_cached(self.source(),
+                                            self.layout.text_base)
         system = build_system(
             core_name, self.config, layout=self.layout,
             tick_period=self.tick_period, mem_size=mem_size,
             external_events=external_events)
-        system.load_image(program, blob)
+        system.load_image(program, segments)
         return system
 
 

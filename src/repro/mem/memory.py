@@ -25,9 +25,6 @@ from repro.mem.substrate import byte_view, get_numpy
 #: NumPy's per-call overhead only amortises on larger transfers.
 _NP_BULK_WORDS = 32
 
-#: Blob blits below one page stay on the ``bytearray`` slice memcpy.
-_NP_BLIT_BYTES = 4096
-
 MASK32 = 0xFFFFFFFF
 
 #: CLINT-compatible MMIO block.
@@ -94,21 +91,23 @@ class Memory:
             self.write_word_raw(addr, word)
 
     def load_blob(self, blob: bytes) -> None:
-        """Blit a flat pre-rendered image starting at address 0.
+        """Blit a flat image starting at address 0."""
+        self.load_segments(((0, blob),))
 
-        The fast path of the kernel build cache: one slice assignment
-        instead of a per-word Python loop over ``load_program``.
+    def load_segments(self, segments) -> None:
+        """Blit ``(addr, bytes)`` segments, bounds-checked as a whole.
+
+        The kernel build cache's image form: one slice assignment per
+        contiguous run of words. Nothing is written if any segment
+        would end past RAM.
         """
-        if len(blob) > self.size:
+        top = max((addr + len(data) for addr, data in segments), default=0)
+        if top > self.size:
             raise MemoryError_(
-                f"image of {len(blob):#x} bytes exceeds RAM of "
+                f"image of {top:#x} bytes exceeds RAM of "
                 f"{self.size:#x} bytes")
-        view = byte_view(self.data)
-        if view is not None and len(blob) >= _NP_BLIT_BYTES:
-            np = get_numpy()
-            view[:len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-        else:
-            self.data[:len(blob)] = blob
+        for addr, data in segments:
+            self.data[addr:addr + len(data)] = data
 
     # -- snapshot/restore (repro.snapshot) -----------------------------------
 

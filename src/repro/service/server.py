@@ -8,7 +8,8 @@ with priorities and explicit backpressure (:mod:`repro.service.queue`),
 groups queued points into per-tick executor batches
 (:mod:`repro.service.batch`), and runs them off the event loop through
 the DSE executor's retry/watchdog machinery
-(:mod:`repro.service.worker`).
+(:mod:`repro.service.worker`) on one supervised worker pool that lives
+as long as the service.
 
 Lifecycle::
 
@@ -29,6 +30,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
+from repro.dse.executor import WorkerPool
 from repro.errors import CircuitOpenError, QueueFullError, ServiceError
 from repro.service.batch import Batcher, BatchPolicy
 from repro.service.breaker import CircuitBreaker
@@ -98,6 +100,8 @@ class SimulationService:
         self.coalescer = Coalescer(cache)
         self.batcher = Batcher(self.queue, policy, clock=clock)
         self._scheduler_task: asyncio.Task | None = None
+        #: Created at the first ``jobs > 1`` batch, closed by :meth:`stop`.
+        self.pool: WorkerPool | None = None
         self._stopped = False
         self._pending = 0
         self._idle = asyncio.Event()
@@ -118,7 +122,7 @@ class SimulationService:
         await self._idle.wait()
 
     async def stop(self) -> None:
-        """Drain, then shut the scheduler down."""
+        """Drain, then shut the scheduler and the worker pool down."""
         await self.drain()
         self._stopped = True
         if self._scheduler_task is not None:
@@ -126,6 +130,9 @@ class SimulationService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._scheduler_task
             self._scheduler_task = None
+        if self.pool is not None:
+            self.pool.close()
+            self.pool = None
 
     async def __aenter__(self) -> "SimulationService":
         self.start()
@@ -216,11 +223,14 @@ class SimulationService:
             self.stats.queue_depth = self.queue.depth
             self.stats.in_flight += len(batch)
             points = [job.point for job in batch]
+            if self.jobs > 1 and self.pool is None:
+                self.pool = WorkerPool(self.jobs)
             try:
                 outcomes = await loop.run_in_executor(
                     None, functools.partial(run_batch, points, self.jobs,
                                             self.retries, self.timeout,
-                                            health=self.stats.pool))
+                                            health=self.stats.pool,
+                                            pool=self.pool))
                 # Quarantined points are structured outcomes, not raised
                 # exceptions — a batch that produced *only* poison
                 # records still counts as an infrastructure strike.

@@ -13,18 +13,24 @@ or a batch abort. Only infrastructure failures (worker-process crashes,
 stall-watchdog kills) escape as exceptions and consume the retry
 budget.
 
-Long-lived service workers benefit most from warm-starting
-(:mod:`repro.snapshot`): the snapshot store is process-local, so each
-pool worker accumulates warm state across batches and resubmissions of
-popular (core, config, workload) keys replay their final snapshots
-instead of re-simulating. ``REPRO_SNAPSHOT=0`` in the service
-environment restores the always-cold behaviour; cross-process snapshot
-sharing is an open item in ROADMAP.md.
+With ``jobs > 1`` the service owns one :class:`repro.dse.executor.
+WorkerPool` for its whole lifetime and passes it to every batch, so its
+worker processes live across batches: each keeps the kernels it has
+assembled (:func:`repro.kernel.builder.assemble_cached`) and the result
+memos of the runs it has simulated (:mod:`repro.snapshot`), and a later
+batch that lands the same (core, config, workload) on that worker —
+an exact repeat or a seed-only variant — is served from the memo.
+``REPRO_SNAPSHOT=0`` in the service environment turns the memo off.
 """
 
 from __future__ import annotations
 
-from repro.dse.executor import PoolHealth, execute_point, parallel_map
+from repro.dse.executor import (
+    PoolHealth,
+    WorkerPool,
+    execute_point,
+    parallel_map,
+)
 from repro.errors import (
     PoisonPointError,
     QueueFullError,
@@ -92,7 +98,8 @@ def poison_record(index: int, point, attempts: int, reason: str) -> dict:
 
 def run_batch(points, jobs: int = 1, retries: int = 1,
               timeout: float | None = None,
-              health: PoolHealth | None = None) -> list:
+              health: PoolHealth | None = None,
+              pool: WorkerPool | None = None) -> list:
     """Execute one batch; outcome records in *points* order.
 
     ``jobs > 1`` fans the batch over a process pool with the executor's
@@ -102,8 +109,10 @@ def run_batch(points, jobs: int = 1, retries: int = 1,
     structured :class:`PoisonPointError` record instead of aborting the
     batch — one poisonous point cannot take its batch-mates down.
     ``health`` (a :class:`repro.dse.executor.PoolHealth`) accumulates
-    supervision counters across batches.
+    supervision counters across batches; ``pool`` is the caller's
+    long-lived :class:`~repro.dse.executor.WorkerPool` (without one, a
+    ``jobs > 1`` batch forks and closes a pool of its own).
     """
     return parallel_map(execute_job, list(points), jobs=jobs,
                         retries=retries, timeout=timeout,
-                        on_poison=poison_record, health=health)
+                        on_poison=poison_record, health=health, pool=pool)

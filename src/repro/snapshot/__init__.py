@@ -1,6 +1,6 @@
-"""Warm-start engine: build cache + system snapshot/restore (docs/SNAPSHOT.md).
+"""Warm-start engine: result memo + system snapshot/restore (docs/SNAPSHOT.md).
 
-Three layers, composed by :func:`repro.harness.run_workload`:
+Three layers:
 
 * :mod:`repro.snapshot.pages` — copy-on-write memory images. A capture
   splits RAM into immutable pages and re-uses the page objects of the
@@ -12,21 +12,21 @@ Three layers, composed by :func:`repro.harness.run_workload`:
   architectural state, register banks, RTOSUnit/scheduler state,
   pending transfers and interrupt sources, plus the memory image.
   ``materialize()`` rebuilds a byte-identical live system.
-* :mod:`repro.snapshot.cache` — the process-local snapshot store keyed
-  on (core, config, kernel source, layout, runtime parameters), holding
-  a *boundary* snapshot (taken automatically at the first measured
-  switch, post-boot/post-warmup) and a *final* snapshot (run completed)
-  per key, plus the ``REPRO_SNAPSHOT`` gate.
+* :mod:`repro.snapshot.cache` — the process-local store keyed on
+  (core, config, kernel source, layout, runtime parameters), holding
+  the finished run's result memo per key, plus the ``REPRO_SNAPSHOT``
+  gate; :func:`repro.harness.run_workload` consults it.
 
-The kernel *build* cache (assembled words memoized per source) lives
-with the builder in :mod:`repro.kernel.builder`.
+Capture/restore serves checkpointing and mid-run inspection; it is not
+on the :func:`run_workload` path. The kernel *build* cache (compact
+images memoized per source digest) lives with the builder in
+:mod:`repro.kernel.builder`.
 """
 
 from repro.snapshot.cache import (
     SnapshotEntry,
     SnapshotStats,
     SnapshotStore,
-    final_system,
     reset_store,
     snapshot_enabled,
     snapshot_key,
@@ -43,7 +43,6 @@ __all__ = [
     "SnapshotStore",
     "SystemSnapshot",
     "capture_image",
-    "final_system",
     "reset_store",
     "restore_image",
     "snapshot_enabled",

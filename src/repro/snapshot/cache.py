@@ -1,23 +1,23 @@
-"""Process-local snapshot store and the ``REPRO_SNAPSHOT`` gate.
+"""Process-local result memo and the ``REPRO_SNAPSHOT`` gate.
 
 One :class:`SnapshotEntry` per content key — derived from everything
 that determines a run byte-for-byte: core, configuration name, memory
 layout, the rendered kernel source (which bakes in the workload's task
 bodies and iteration counts), tick period and the runtime parameters of
-the workload. Two snapshots live in an entry:
+the workload. The entry's ``final`` slot memoises the finished
+:class:`repro.harness.experiment.RunResult` of that key: a repeat of
+an identical run — or a seed-only variant, since the seed never reaches
+the simulation — is answered from the memo without building or
+simulating anything.
 
-* ``boundary`` — taken automatically at the first *measured* context
-  switch (post-boot, post-warmup). A warm run restores it and simulates
-  only the measured phase.
-* ``final`` — taken when a run completes cleanly. A warm repeat of an
-  identical run replays it outright: the restored system already holds
-  the final register banks, switch records and counters, so the result
-  is derived without re-simulating anything.
-
+The memo is held as a pickle, so every hit unpickles a private copy
+(two results never share a mutable list) and an entry costs a few KiB.
 The store is process-local (each DSE pool worker and service worker
-warms its own), bounded by an LRU, and bypassed entirely when
+keeps its own), bounded by an LRU, and bypassed entirely when
 ``REPRO_SNAPSHOT=0`` or when a guard/tracer/fault-injector forces the
-exact path — see docs/SNAPSHOT.md for the full bypass matrix.
+exact path — see docs/SNAPSHOT.md for the bypass matrix.
+System capture/restore (:mod:`repro.snapshot.state`) is independent of
+the memo.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 from repro.chaos.hooks import fire as _chaos_fire
 from repro.chaos.model import mangle_blob
-from repro.snapshot.state import SystemSnapshot
 from repro.util import LRUCache
 
-#: Snapshot entries kept per process. Far above any grid in this repo;
-#: the bound is a memory safety net for long service runs.
-STORE_CAPACITY = 64
+#: Memo entries kept per process. A memo is a few KiB, so the bound
+#: covers the whole 180-point Fig. 9 grid with room to spare; it is a
+#: memory safety net for long service runs.
+STORE_CAPACITY = 256
 
 
 def snapshot_enabled() -> bool:
@@ -48,10 +48,11 @@ def snapshot_key(core: str, config, layout, workload, source: str) -> tuple:
 
     ``source`` is the rendered kernel assembly — it already encodes the
     task bodies, iteration counts, semaphores/queues and data layout, so
-    two workloads that assemble identically share warm state. Runtime
-    parameters that never reach the source (tick period, external
-    events, warmup discard, cycle budget) are keyed explicitly, and so
-    is the kernel fingerprint (personality identity + templates,
+    two workloads that assemble identically share warm state; the key
+    holds its sha256, not the 16–35 KB text. Runtime parameters that
+    never reach the source (tick period, external events, warmup
+    discard, cycle budget) are keyed explicitly, and so is the kernel
+    fingerprint (personality identity + templates,
     :func:`repro.personalities.kernel_fingerprint`) — the same
     dimension the DSE result cache keys on, so warm state can never be
     shared across kernel designs.
@@ -68,83 +69,66 @@ def snapshot_key(core: str, config, layout, workload, source: str) -> tuple:
         workload.warmup_switches,
         workload.max_cycles,
         tuple(workload.external_events),
-        source,
+        hashlib.sha256(source.encode()).hexdigest(),
     )
 
 
 def snapshot_verify_default() -> bool:
     """Digest-verified storage is opt-in via ``REPRO_SNAPSHOT_VERIFY``.
 
-    Verified mode pickles each snapshot with a digest and re-checks it
-    on every read — full protection against in-memory corruption at the
-    cost of a serialize/deserialize per warm hit. The default (off)
-    keeps warm hits at their zero-copy speed; the chaos campaign and
-    hardening tests turn it on.
+    Verified mode stores each memo's pickle with a digest and re-checks
+    it on every read — protection against in-memory corruption for the
+    price of one sha256 per hit. The chaos campaign and hardening tests
+    turn it on.
     """
     value = os.environ.get("REPRO_SNAPSHOT_VERIFY", "0").strip().lower()
     return value not in ("0", "false", "off", "no", "")
 
 
 class SnapshotEntry:
-    """Warm state of one content key.
+    """Result memo of one content key.
 
-    ``boundary`` and ``final`` are properties so the storage form is the
-    entry's own business: plain object references normally, or
-    ``(pickle, digest)`` pairs in verified mode, where every read is
-    digest-checked and a corrupt slot is *evicted* (slot reset to
-    ``None``, ``corrupt_evictions`` counted) so the caller falls back to
-    the cold path instead of restoring damaged state.
+    ``final`` is a property over a pickle: reading it unpickles a fresh
+    :class:`RunResult` (or ``None``), so callers may mutate what they
+    get. In verified mode the pickle is stored with its digest, every
+    read is digest-checked, and a corrupt memo is *evicted* (slot reset
+    to ``None``, ``corrupt_evictions`` counted) so the caller falls back
+    to the cold path instead of returning damaged results.
     """
 
-    __slots__ = ("_slots", "verify", "stats")
+    __slots__ = ("_blob", "_digest", "verify", "stats")
 
     def __init__(self, verify: bool = False, stats=None):
-        self._slots: dict = {"boundary": None, "final": None}
+        self._blob: bytes | None = None
+        self._digest: str | None = None
         self.verify = verify
         self.stats = stats
 
-    def _get(self, name: str):
-        stored = self._slots[name]
-        if stored is None:
+    @property
+    def final(self):
+        blob = self._blob
+        if blob is None:
             return None
         if not self.verify:
-            return stored
-        blob, digest = stored
+            return pickle.loads(blob)
         spec = _chaos_fire("snapshot.read")
         if spec is not None:
             blob = mangle_blob(blob, spec.kind)
-        if hashlib.sha256(blob).hexdigest() == digest:
+        if hashlib.sha256(blob).hexdigest() == self._digest:
             try:
                 return pickle.loads(blob)
             except Exception:  # noqa: BLE001 - any unpickle failure evicts
                 pass
-        self._slots[name] = None
+        self._blob = self._digest = None
         if self.stats is not None:
             self.stats.corrupt_evictions += 1
         return None
 
-    def _set(self, name: str, snapshot) -> None:
-        if snapshot is None or not self.verify:
-            self._slots[name] = snapshot
-            return
-        blob = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        self._slots[name] = (blob, hashlib.sha256(blob).hexdigest())
-
-    @property
-    def boundary(self) -> SystemSnapshot | None:
-        return self._get("boundary")
-
-    @boundary.setter
-    def boundary(self, snapshot) -> None:
-        self._set("boundary", snapshot)
-
-    @property
-    def final(self) -> SystemSnapshot | None:
-        return self._get("final")
-
     @final.setter
-    def final(self, snapshot) -> None:
-        self._set("final", snapshot)
+    def final(self, result) -> None:
+        self._blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        self._digest = (hashlib.sha256(self._blob).hexdigest()
+                        if self.verify else None)
 
 
 @dataclass
@@ -152,26 +136,26 @@ class SnapshotStats:
     """Warm-start accounting (``python -m repro snapshot`` reports it)."""
 
     final_hits: int = 0
-    boundary_hits: int = 0
     misses: int = 0
     bypasses: int = 0
-    boundary_captures: int = 0
-    final_captures: int = 0
+    final_stores: int = 0
     corrupt_evictions: int = 0  # verified-mode digest/unpickle failures
+
+    #: There is no mid-run resume tier; kept readable for reports that
+    #: sum hits across tiers.
+    boundary_hits = 0
 
     @property
     def hit_rate(self) -> float:
-        total = self.final_hits + self.boundary_hits + self.misses
-        return (self.final_hits + self.boundary_hits) / total if total else 0.0
+        total = self.final_hits + self.misses
+        return self.final_hits / total if total else 0.0
 
     def as_dict(self) -> dict:
         return {
             "final_hits": self.final_hits,
-            "boundary_hits": self.boundary_hits,
             "misses": self.misses,
             "bypasses": self.bypasses,
-            "boundary_captures": self.boundary_captures,
-            "final_captures": self.final_captures,
+            "final_stores": self.final_stores,
             "corrupt_evictions": self.corrupt_evictions,
             "hit_rate": self.hit_rate,
         }
@@ -181,8 +165,8 @@ class SnapshotStore:
     """LRU-bounded key → :class:`SnapshotEntry` map with accounting.
 
     ``verify`` (default from :func:`snapshot_verify_default`) makes new
-    entries store digest-checked pickles instead of object references;
-    flipping it affects entries created afterwards.
+    entries digest-check their pickles; flipping it affects entries
+    created afterwards.
     """
 
     def __init__(self, capacity: int = STORE_CAPACITY,
@@ -199,10 +183,6 @@ class SnapshotStore:
             entry = SnapshotEntry(verify=self.verify, stats=self.stats)
             self._entries[key] = entry
         return entry
-
-    def peek(self, key: tuple) -> SnapshotEntry | None:
-        """The entry for *key* without creating or refreshing it."""
-        return dict.get(self._entries, key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -221,7 +201,7 @@ def store() -> SnapshotStore:
 
 
 def reset_store() -> None:
-    """Drop all warm state (tests and benchmarks isolate through this).
+    """Drop all memos (tests and benchmarks isolate through this).
 
     Also re-reads ``REPRO_SNAPSHOT_VERIFY`` so a test that flips the
     environment gets the matching storage mode for entries created
@@ -229,24 +209,3 @@ def reset_store() -> None:
     """
     _STORE.clear()
     _STORE.verify = snapshot_verify_default()
-
-
-def final_system(core: str, config, workload, layout=None):
-    """Materialize the cached *final* system of a run, or ``None``.
-
-    Benchmarks and tests use this to inspect end-of-run state (register
-    banks, memory) that :class:`repro.harness.experiment.RunResult`
-    does not carry.
-    """
-    from repro.kernel.builder import KernelBuilder
-    from repro.mem.regions import MemoryLayout
-
-    layout = layout or MemoryLayout()
-    builder = KernelBuilder(config=config, objects=workload.objects,
-                            layout=layout, tick_period=workload.tick_period)
-    key = snapshot_key(core, config, layout, workload, builder.source())
-    entry = _STORE.peek(key)
-    if entry is None:
-        return None
-    final = entry.final  # one read: verified mode re-checks per access
-    return final.materialize() if final is not None else None

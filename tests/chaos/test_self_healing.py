@@ -71,53 +71,27 @@ class TestBuildCacheHealing:
 
 class TestSnapshotHealing:
     def test_corrupt_final_snapshot_falls_back_and_heals(self, monkeypatch):
+        """A corrupt result memo is evicted and the run simulates cold."""
         monkeypatch.setenv("REPRO_SNAPSHOT_VERIFY", "1")
         from repro.snapshot import reset_store
 
         reset_store()  # adopt verified mode
-        golden = _golden_payload()  # cold run banks boundary + final
+        golden = _golden_payload()  # cold run stores the memo
         policy = ChaosPolicy(specs=(
             ChaosSpec("corrupt_blob", "snapshot.read", at=1),))
         with installed(policy):
             healed = _golden_payload()
         stats = store().stats
         assert stats.corrupt_evictions == 1
-        # Final tier was evicted; the run fell back to the (intact)
-        # boundary tier and still produced the golden payload.
-        assert stats.boundary_hits == 1
+        assert stats.final_hits == 0  # the damaged memo was never served
+        assert stats.misses == 2 and stats.final_stores == 2
         assert _canon(healed) == _canon(golden)
+        assert _canon(_golden_payload()) == _canon(golden)  # healed memo
+        assert store().stats.final_hits == 1
 
-    def test_unverified_mode_stores_raw_references(self):
+    def test_unverified_mode_skips_digest(self):
         golden = _golden_payload()
-        warm = _golden_payload()  # final replay, no pickling anywhere
+        warm = _golden_payload()  # memo hit: unpickled, no digest check
         assert store().stats.final_hits == 1
         assert store().stats.corrupt_evictions == 0
         assert _canon(warm) == _canon(golden)
-
-
-class TestBoundaryResumeThroughWorker:
-    def test_crash_after_boundary_capture_resumes_warm(self):
-        """A worker dying mid-run retries through the boundary tier.
-
-        Drives the full service worker path (run_batch -> parallel_map
-        -> execute_point): the first attempt banks the boundary snapshot
-        and crashes; the in-process retry enters through boundary-resume
-        instead of simulating cold again — the snapshot warm tier is
-        exercised end-to-end, not just by its own unit tests.
-        """
-        from repro.dse.executor import PoolHealth
-        from repro.service.worker import run_batch
-
-        golden = _golden_payload()
-        from repro.snapshot import reset_store
-
-        reset_store()
-        policy = ChaosPolicy(specs=(
-            ChaosSpec("worker_crash", "worker.boundary", at=1),))
-        health = PoolHealth()
-        with installed(policy):
-            outcomes = run_batch([POINT], jobs=1, retries=1, health=health)
-        assert [o["status"] for o in outcomes] == ["done"]
-        assert health.retries == 1
-        assert store().stats.boundary_hits >= 1
-        assert _canon(outcomes[0]["run"]) == _canon(golden)

@@ -95,6 +95,18 @@ class TestWarmStart:
         warm = run_workload("cv32e40p", config, ladder_switch(4))
         assert store().stats.final_hits == 1
         assert _result_key(cold) == _result_key(warm)
+        # A finished system survives capture -> materialize exactly.
+        workload = ladder_switch(4)
+        builder = KernelBuilder(config=config, objects=workload.objects,
+                                tick_period=workload.tick_period)
+        system = builder.build("cv32e40p",
+                               external_events=workload.external_events)
+        system.run(workload.max_cycles)
+        restored = system.capture().materialize()
+        assert restored.switches == system.switches
+        assert restored.core.cycle == cold.cycles
+        assert restored.core.stats.instret == cold.instret
+        assert bytes(restored.memory.data) == bytes(system.memory.data)
 
     def test_personalities_do_not_share_warm_state(self):
         for config_name in ALL_QUALIFIED:

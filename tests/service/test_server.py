@@ -125,7 +125,8 @@ class TestErrorPropagation:
 
 class TestBackpressure:
     def test_queue_full_is_structured_not_blocking(self, monkeypatch):
-        def slow_batch(points, jobs=1, retries=1, timeout=None, health=None):
+        def slow_batch(points, jobs=1, retries=1, timeout=None, health=None,
+                       pool=None):
             time.sleep(0.3)
             return [{"status": "done", "run": {"fake": True}}
                     for _ in points]
@@ -167,7 +168,7 @@ class TestBatching:
         seen_batches = []
 
         def recording_batch(points, jobs=1, retries=1, timeout=None,
-                            health=None):
+                            health=None, pool=None):
             seen_batches.append(len(points))
             return [{"status": "done", "run": {"fake": True}}
                     for _ in points]

@@ -1,12 +1,15 @@
-"""Suite-level differential: warm-started runs vs the exact cold path.
+"""Suite-level differential: memoised runs and snapshots vs the cold path.
 
 Every RTOSBench workload runs on every core model on both the software
 baseline and a hardware-assisted configuration, once cold (warm-start
-disabled) and once warm (replayed from the snapshot store). The two
+disabled) and twice with the result memo (populate, then a hit). All
 must agree on everything observable — the latency distribution, every
-switch record, cycle/instret, the full core and RTOSUnit stats, and the
-end-of-run machine state down to the last RAM byte. This is the
-acceptance test for the byte-identity contract in docs/SNAPSHOT.md.
+switch record, cycle/instret, the full core and RTOSUnit stats. The
+end-of-run machine state is checked separately: a finished system
+captured with ``System.capture()`` and rebuilt by ``materialize()``
+must equal a from-scratch cold system down to the last RAM byte. This
+is the acceptance test for the byte-identity contract in
+docs/SNAPSHOT.md.
 """
 
 import dataclasses
@@ -17,7 +20,6 @@ from repro.cores import CORE_NAMES
 from repro.harness.experiment import run_workload
 from repro.kernel.builder import KernelBuilder
 from repro.rtosunit.config import parse_config
-from repro.snapshot import final_system
 from repro.workloads.suite import RTOSBENCH_WORKLOADS
 
 ITERATIONS = 3
@@ -68,15 +70,18 @@ def test_warm_runs_byte_identical_to_cold(core_name, config_name,
                 f"{core_name}/{config_name}/{workload.name}: "
                 f"{label} run diverged from the exact cold path")
 
-        # End-of-run machine state, down to RAM bytes: compare the
-        # materialized final snapshot against a from-scratch cold system.
+        # End-of-run machine state, down to RAM bytes: a captured and
+        # re-materialized finished system against a from-scratch one.
         builder = KernelBuilder(config=config, objects=workload.objects,
                                 tick_period=workload.tick_period)
-        reference = builder.build(core_name,
-                                  external_events=workload.external_events)
-        reference.run(workload.max_cycles)
-        warm_system = final_system(core_name, config, workload)
-        assert warm_system is not None
-        assert _system_obs(warm_system) == _system_obs(reference), (
+        systems = []
+        for _ in range(2):
+            system = builder.build(core_name,
+                                   external_events=workload.external_events)
+            system.run(workload.max_cycles)
+            systems.append(system)
+        reference, finished = systems
+        restored = finished.capture().materialize()
+        assert _system_obs(restored) == _system_obs(reference), (
             f"{core_name}/{config_name}/{workload.name}: final machine "
-            f"state diverged warm vs cold")
+            f"state diverged captured vs cold")

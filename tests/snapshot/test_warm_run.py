@@ -1,10 +1,10 @@
-"""Warm-start tiers, gating and accounting in run_workload."""
+"""Result memo, gating and accounting in run_workload."""
 
 import pytest
 
 from repro.harness.experiment import run_workload
 from repro.rtosunit.config import parse_config
-from repro.snapshot import final_system, snapshot_enabled, store
+from repro.snapshot import snapshot_enabled, store
 from repro.workloads import yield_pingpong
 
 
@@ -37,20 +37,26 @@ def test_miss_then_final_hit():
     stats = store().stats
     assert stats.misses == 1
     assert stats.final_hits == 1
-    assert stats.boundary_captures == 1
-    assert stats.final_captures == 1
+    assert stats.final_stores == 1
+    assert stats.boundary_hits == 0  # no mid-run resume tier
     assert _result_key(cold) == _result_key(warm)
 
 
-def test_boundary_tier_resumes():
-    cold, workload = _run()
-    # Drop the final snapshot so the next run must resume the boundary.
-    entry = next(iter(store()._entries.values()))
-    assert entry.boundary is not None
-    entry.final = None
-    warm, _ = _run()
-    assert store().stats.boundary_hits == 1
-    assert _result_key(cold) == _result_key(warm)
+def test_memo_hits_are_private_copies():
+    """Mutating one result never leaks into the memo or another hit."""
+    cold, _ = _run()
+    expected = repr(_result_key(cold))
+    cold.latencies.append(-1)
+    cold.switches.clear()
+    cold.core_stats.instret = -1
+    first, _ = _run()
+    second, _ = _run()
+    assert repr(_result_key(first)) == expected
+    assert repr(_result_key(second)) == expected
+    assert first.latencies is not second.latencies
+    assert first.switches is not second.switches
+    assert first.switches[0] is not second.switches[0]
+    assert first.core_stats is not second.core_stats
 
 
 def test_env_gate_bypasses_store(monkeypatch):
@@ -76,26 +82,28 @@ def test_guard_forces_exact_path():
     assert _result_key(cold) == _result_key(guarded)
 
 
-def test_final_system_exposes_end_state():
-    workload = yield_pingpong(iterations=3)
-    config = parse_config("vanilla")
-    assert final_system("cv32e40p", config, workload) is None
-    run_workload("cv32e40p", config, workload)
-    system = final_system("cv32e40p", config, workload)
-    assert system is not None
-    assert system.core.halted
-    assert system.core.exit_code == 0
+def test_memo_holds_a_result_not_a_system():
+    """An entry keeps a pickled RunResult of a few KiB, no RAM image."""
+    cold, _ = _run()
+    (entry,) = store()._entries.values()
+    assert isinstance(entry._blob, bytes)
+    assert len(entry._blob) < 64 * 1024
+    memo = entry.final
+    assert memo is not entry.final  # every read is a fresh copy
+    assert _result_key(memo) == _result_key(cold)
 
 
 def test_results_shared_across_seeds():
-    """The seed never perturbs the simulation, so warm state is shared."""
+    """The seed never perturbs the simulation, so the memo is shared."""
     workload = yield_pingpong(iterations=3)
     config = parse_config("vanilla")
     a = run_workload("cv32e40p", config, workload, seed=1)
     b = run_workload("cv32e40p", config, workload, seed=2)
-    assert store().stats.final_hits == 1
-    assert a.seed == 1 and b.seed == 2
-    assert a.latencies == b.latencies
+    c = run_workload("cv32e40p", config, workload, seed=1)
+    assert store().stats.final_hits == 2
+    assert (a.seed, b.seed, c.seed) == (1, 2, 1)  # each stamped its own
+    assert a.latencies == b.latencies == c.latencies
+    assert b.latencies is not c.latencies
 
 
 def test_distinct_workload_params_get_distinct_entries():
