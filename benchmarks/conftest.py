@@ -7,6 +7,7 @@ reports, and writes them to ``benchmarks/results/`` for EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -20,6 +21,19 @@ def publish(name: str, text: str) -> None:
     print(banner + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def update_bench(path: pathlib.Path, name: str, fields: dict) -> None:
+    """Merge *fields* into the ``repro-bench/v1`` record at *path*.
+
+    For BENCH files that several gates write: each gate refreshes its
+    own fields and the host fingerprint, and keeps the others'.
+    """
+    from repro.perf import bench_record
+
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record.update(bench_record(name, fields))
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

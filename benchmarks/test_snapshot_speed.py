@@ -17,23 +17,33 @@ faster than cold, that the populate overhead stays bounded, and that
 the warm results are **byte-identical** to cold — latencies, every
 switch record, core stats. The end state is checked too: a finished
 system captured and re-materialized must match a cold system's register
-banks and RAM. Numbers land in ``BENCH_snapshot.json`` at the repo root
-(see docs/SNAPSHOT.md).
+banks and RAM.
+
+A second gate times the vectorised snapshot page scans
+(``REPRO_NUMPY=1``) against the bytearray loop fallback on a 1 MiB RAM
+with scattered dirty bytes: capture-diff-restore cycles must be at
+least ``CAPTURE_SPEEDUP_GATE`` times faster on the NumPy backend.
+
+Numbers land in ``BENCH_snapshot.json`` at the repo root (see
+docs/SNAPSHOT.md).
 """
 
 import dataclasses
-import json
 import pathlib
+import random
 import time
+
+import pytest
 
 from repro.harness.experiment import run_suite
 from repro.kernel.builder import KernelBuilder, reset_program_cache
+from repro.mem.substrate import get_numpy
 from repro.rtosunit.config import parse_config
-from repro.perf import bench_record
 from repro.snapshot import reset_store, store
+from repro.snapshot.pages import capture_image, restore_image
 from repro.workloads.suite import RTOSBENCH_WORKLOADS
 
-from benchmarks.conftest import publish
+from benchmarks.conftest import publish, update_bench
 
 BENCH_PATH = (pathlib.Path(__file__).resolve().parent.parent
               / "BENCH_snapshot.json")
@@ -45,6 +55,10 @@ WARM_SPEEDUP_GATE = 3.0
 #: much more than the plain cold pass.
 CAPTURE_OVERHEAD_CEILING = 2.0
 COLD_REPEATS = 3
+#: Gated: vectorised capture+restore vs the bytearray loop.
+CAPTURE_SPEEDUP_GATE = 3.0
+RAM_BYTES = 1 << 20
+REPEATS = 3
 
 
 def _suite_pass(core, config, monkey_env=None):
@@ -125,7 +139,7 @@ def test_warm_start_speedup():
 
     speedup = cold_wall / warm_wall if warm_wall else float("inf")
     capture_overhead = populate_wall / cold_wall if cold_wall else 1.0
-    record = bench_record("snapshot_speed", {
+    update_bench(BENCH_PATH, "snapshot_speed", {
         "iterations": ITERATIONS,
         "workloads": len(RTOSBENCH_WORKLOADS),
         "headline": {"core": core, "config": config_name,
@@ -138,7 +152,6 @@ def test_warm_start_speedup():
         "capture_overhead": round(capture_overhead, 3),
         "store": stats.as_dict(),
     })
-    BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     publish("bench_snapshot_speed", "\n".join([
         f"cold     {cold_wall * 1000:8.1f} ms  (best of {COLD_REPEATS})",
         f"populate {populate_wall * 1000:8.1f} ms  "
@@ -155,3 +168,60 @@ def test_warm_start_speedup():
     assert capture_overhead <= CAPTURE_OVERHEAD_CEILING, (
         f"populate pass costs {capture_overhead:.2f}x cold: memo "
         f"store overhead regressed")
+
+
+def _dirty_ram() -> bytearray:
+    rng = random.Random(1234)
+    data = bytearray(RAM_BYTES)
+    for _ in range(200):
+        addr = rng.randrange(0, RAM_BYTES - 64)
+        data[addr:addr + 64] = rng.randbytes(64)
+    return data
+
+
+def _capture_cycle_cost(env_value: str | None, monkeypatch) -> float:
+    """Mean seconds per capture-diff-restore cycle on one backend."""
+    if env_value is None:
+        monkeypatch.delenv("REPRO_NUMPY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NUMPY", env_value)
+    rng = random.Random(99)
+    data = _dirty_ram()
+    base = capture_image(data)
+    cycles = 30
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(cycles):
+            addr = rng.randrange(0, RAM_BYTES - 4)
+            data[addr:addr + 4] = rng.randbytes(4)
+            capture_image(data, base)
+            restore_image(data, base)
+            base = capture_image(data, base)
+        best = min(best, (time.perf_counter() - start) / cycles)
+    return best
+
+
+@pytest.mark.skipif(get_numpy() is None,
+                    reason="the vectorised page scans need numpy")
+def test_vectorised_capture_restore(monkeypatch):
+    numpy_cost = _capture_cycle_cost(None, monkeypatch)
+    loop_cost = _capture_cycle_cost("0", monkeypatch)
+    monkeypatch.delenv("REPRO_NUMPY", raising=False)
+    capture_speedup = loop_cost / numpy_cost
+
+    update_bench(BENCH_PATH, "snapshot_speed", {"capture": {
+        "ram_bytes": RAM_BYTES,
+        "numpy_ms": round(numpy_cost * 1000.0, 4),
+        "loop_ms": round(loop_cost * 1000.0, 4),
+        "speedup": round(capture_speedup, 2),
+        "gate": CAPTURE_SPEEDUP_GATE,
+    }})
+    publish("bench_snapshot_capture",
+            f"capture/restore 1 MiB: numpy {numpy_cost * 1000:.2f} ms, "
+            f"loop {loop_cost * 1000:.2f} ms "
+            f"({capture_speedup:.1f}x, gate {CAPTURE_SPEEDUP_GATE:.1f}x)")
+
+    assert capture_speedup >= CAPTURE_SPEEDUP_GATE, (
+        f"vectorised capture/restore only {capture_speedup:.2f}x the "
+        f"loop path (gate {CAPTURE_SPEEDUP_GATE}x)")

@@ -5,9 +5,10 @@ a joint search over RTOSUnit hardware configurations and kernel
 extensions for the best latency/area/power trade-off. Four parts:
 
 * :mod:`repro.dse.executor` — process-pool grid execution with per-task
-  retry/timeout and deterministic result ordering,
+  retry/timeout, deterministic result ordering and one simulation per
+  seed-free identity,
 * :mod:`repro.dse.cache` — a content-addressed on-disk result cache
-  (keyed by source fingerprint + grid point + seed) with hit/miss/
+  (keyed by source fingerprint + seed-free grid point) with hit/miss/
   invalidation accounting and a resume checkpoint manifest,
 * :mod:`repro.dse.frontier` — latency/jitter/area/fmax/power metric
   vectors per design point and Pareto-dominance analysis,

@@ -1,17 +1,24 @@
 """Content-addressed result cache and sweep checkpoints.
 
 Every cache entry is one JSON file addressed by a fingerprint of
-*everything that determines the run's outcome*:
+*everything that determines the simulation*:
 
-``key = sha256(schema, source fingerprint, core, config, workload,
-iterations, seed)``
+``key = sha256(schema, source fingerprint, kernel fingerprint, core,
+config, workload, iterations)``
+
+The seed is not in the key: it is bookkeeping stamped on each result
+(:attr:`repro.dse.executor.GridPoint.run_seed`) and never reaches the
+simulation, so seed-only variants share one entry and every hit is
+served as a private copy carrying the reader's own derived seed. A fuzz
+scenario's own seed is part of its workload name, so it stays keyed.
 
 The source fingerprint hashes the bytes of every ``repro`` module, so
 editing any model invalidates exactly the runs it could have changed —
 there is no mtime heuristic and no TTL. Entries are also named by their
-*logical* point (``cv32e40p-SLT-yield_pingpong-i10-s42``); when a lookup
-misses but a stale file for the same logical point exists (old source
-version), it is removed and counted as an invalidation.
+*logical* point (``cv32e40p-SLT-yield_pingpong-i10``); when a lookup
+misses but stale files for the same logical point exist (old source
+version, or the seed-suffixed ``-s<seed>`` names of schema 3), they are
+removed and counted as invalidations.
 
 :class:`SweepManifest` is the resume checkpoint: it records the grid and
 which points have completed, so ``python -m repro dse --resume`` can
@@ -35,7 +42,8 @@ _FINGERPRINT: str | None = None
 
 #: Version tag of the cache entry schema (bump on breaking change).
 #: 3: entries carry a payload digest, verified on every read.
-CACHE_SCHEMA = 3
+#: 4: the key and the entry name drop the seed.
+CACHE_SCHEMA = 4
 
 
 def payload_digest(payload: dict) -> str:
@@ -71,17 +79,17 @@ def point_key(point, fingerprint: str | None = None) -> str:
     """Content hash addressing one grid point's result.
 
     The single key scheme shared by :class:`ResultCache` and the
-    service-layer coalescer (:mod:`repro.service`): two requests with
-    the same key are guaranteed to produce byte-identical run payloads,
-    so they may legally share one execution.
+    service-layer coalescer (:mod:`repro.service`). It hashes the
+    point's seed-free :attr:`~repro.dse.executor.GridPoint.identity`:
+    two requests with the same key run the same simulation, and their
+    payloads differ only in the stamped seed, so they may legally share
+    one execution.
     """
     from repro.personalities import kernel_fingerprint_for_name
 
-    identity = dict(point.as_dict(), schema=CACHE_SCHEMA,
-                    fingerprint=fingerprint or source_fingerprint(),
-                    kernel=kernel_fingerprint_for_name(point.config))
-    blob = json.dumps(identity, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    identity = [CACHE_SCHEMA, fingerprint or source_fingerprint(),
+                kernel_fingerprint_for_name(point.config), *point.identity]
+    return hashlib.sha256(json.dumps(identity).encode()).hexdigest()
 
 
 @dataclass
@@ -131,10 +139,11 @@ class ResultCache:
 
     def _logical(self, point) -> str:
         return (f"{point.core}-{point.config}-{point.workload}"
-                f"-i{point.iterations}-s{point.seed}")
+                f"-i{point.iterations}")
 
     def path(self, point) -> pathlib.Path:
-        return self.root / f"{self._logical(point)}.{self.key(point)[:16]}.json"
+        return (self.root
+                / f"{self._logical(point)}.{self.key(point)[:16]}.json")
 
     # -- lookups -------------------------------------------------------------
 
@@ -146,7 +155,8 @@ class ResultCache:
         payload: anything else — disk rot, a half-written file, a
         mislabelled entry — is evicted, counted as a corrupt eviction
         and reported as a miss, so the caller recomputes instead of
-        trusting damaged state.
+        trusting damaged state. The payload served is the caller's own
+        copy, stamped with *point*'s derived seed.
         """
         path = self.path(point)
         if path.exists():
@@ -167,10 +177,14 @@ class ResultCache:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
+            payload["seed"] = point.run_seed
             return payload
         # Stale entries for the same logical point (older source
-        # fingerprint / schema) can never hit again: reap and account.
-        stale = sorted(self.root.glob(f"{self._logical(point)}.*.json"))
+        # fingerprint / schema, or schema-3 per-seed names) can never
+        # hit again: reap and account.
+        logical = self._logical(point)
+        stale = sorted([*self.root.glob(f"{logical}.*.json"),
+                        *self.root.glob(f"{logical}-s[0-9]*.json")])
         for old in stale:
             old.unlink(missing_ok=True)
             self.stats.invalidated += 1

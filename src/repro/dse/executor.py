@@ -30,7 +30,7 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.errors import ExplorationError
 
@@ -40,8 +40,9 @@ class GridPoint:
     """One (core, configuration, workload) cell of the exploration grid.
 
     ``seed`` is the *base* seed of the sweep; the per-run seed is
-    derived from it and the grid position inside the worker (see
-    :func:`repro.harness.experiment.derive_point_seed`).
+    derived from it and the grid position (:attr:`run_seed`). The seed
+    is recorded on the result but never reaches the simulation, so
+    every point with the same :attr:`identity` is the same simulation.
     """
 
     core: str
@@ -53,6 +54,25 @@ class GridPoint:
     @property
     def label(self) -> str:
         return f"{self.core}/{self.config}/{self.workload}"
+
+    @property
+    def identity(self) -> tuple:
+        """Everything that shapes the simulation: the point minus its seed.
+
+        The one definition of "the same simulation", shared by the
+        result cache and service coalescer (:func:`repro.dse.cache.
+        point_key`) and the executor's in-sweep grouping. A fuzz
+        scenario's own seed is part of its workload name, so it stays in.
+        """
+        return (self.core, self.config, self.workload, self.iterations)
+
+    @property
+    def run_seed(self) -> int:
+        """The per-run seed stamped on this point's result."""
+        from repro.harness.experiment import derive_point_seed
+
+        return derive_point_seed(self.seed, self.core, self.config,
+                                 self.workload)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -87,14 +107,13 @@ def execute_point(point: GridPoint):
 
     ``run_workload`` consults the process-local result memo
     (:mod:`repro.snapshot`), so a worker simulates each content key
-    once and answers later points that share it — exact repeats and
-    seed-only variants — from the memo. Only what the same process
-    has run can hit: a :class:`DSEExecutor` pool lives for one sweep,
-    while the job service keeps one :class:`WorkerPool` for its whole
-    lifetime.
+    once and answers later points that share it from the memo. Only
+    what the same process has run can hit: a :class:`DSEExecutor` pool
+    lives for one sweep, while the job service keeps one
+    :class:`WorkerPool` for its whole lifetime.
     """
     from repro.chaos import hooks as chaos_hooks
-    from repro.harness.experiment import derive_point_seed, run_workload
+    from repro.harness.experiment import run_workload
     from repro.rtosunit.config import parse_config
     from repro.workloads import workload_by_name
 
@@ -103,10 +122,8 @@ def execute_point(point: GridPoint):
     chaos_hooks.ensure_from_env()
     chaos_hooks.fire("worker.run")
     workload = workload_by_name(point.workload, iterations=point.iterations)
-    return run_workload(
-        point.core, parse_config(point.config), workload,
-        seed=derive_point_seed(point.seed, point.core, point.config,
-                               point.workload))
+    return run_workload(point.core, parse_config(point.config), workload,
+                        seed=point.run_seed)
 
 
 @dataclass
@@ -396,29 +413,25 @@ class DSEExecutor:
     :class:`repro.dse.cache.SweepManifest` checkpointed after every
     completion so an interrupted sweep can resume.
 
-    ``lanes >= 2`` selects the third execution mode (after serial and
-    process-parallel): uncached points are planned into lane packs
-    (:mod:`repro.lanes`) and whole packs are dispatched per worker, so
-    congruent points batch into one simulation plus follower replays and
-    every content key pays its cold build once per sweep. Results stay
-    byte-identical to ``--jobs 1`` (grid-ordered, same derived seeds);
-    pack telemetry accumulates on :attr:`lane_stats`.
+    Pending points are grouped by :attr:`GridPoint.identity`: each
+    group simulates once, its result is scattered to the group's other
+    points with their own derived seeds, and the cache stores one entry
+    per identity. A multi-seed sweep therefore costs one simulation per
+    identity and stays byte-identical to per-seed serial sweeps.
     """
 
     def __init__(self, jobs: int = 1, retries: int = 1,
                  timeout: float | None = None, cache=None, manifest=None,
-                 progress=None, lanes: int = 0):
-        from repro.lanes import LaneStats
-
+                 progress=None):
         self.jobs = jobs
         self.retries = retries
         self.timeout = timeout
         self.cache = cache
         self.manifest = manifest
         self.progress = progress
-        self.lanes = lanes
         self.health = PoolHealth()
-        self.lane_stats = LaneStats()
+        #: Simulations dispatched (one per pending identity).
+        self.points_executed = 0
 
     def run(self, points) -> dict:
         """Execute (or recall) every grid point; returns point → RunResult.
@@ -432,59 +445,37 @@ class DSEExecutor:
         if self.manifest is not None:
             self.manifest.begin(points)
         results = {}
-        pending = []
+        groups: dict = {}  # identity -> pending points, in grid order
         for point in points:
+            group = groups.get(point.identity)
+            if group is not None:
+                group.append(point)
+                continue
             payload = (self.cache.get(point) if self.cache is not None
                        else None)
             if payload is not None:
                 results[point] = load_run(payload)
                 self._complete(point, results[point], from_cache=True)
             else:
-                pending.append(point)
-
-        if self.lanes >= 2:
-            for point, run in self._run_lanes(pending, run_dict):
-                results[point] = run
-            return {point: results[point] for point in points}
+                groups[point.identity] = [point]
+        pending = list(groups.values())
 
         def on_result(index, run):
-            point = pending[index]
+            leader, *followers = pending[index]
             if self.cache is not None:
-                self.cache.put(point, run_dict(run))
-            self._complete(point, run, from_cache=False)
+                self.cache.put(leader, run_dict(run))
+            results[leader] = run
+            self._complete(leader, run, from_cache=False)
+            for point in followers:
+                results[point] = replace(run, seed=point.run_seed)
+                self._complete(point, results[point], from_cache=False)
 
-        executed = parallel_map(execute_point, pending, jobs=self.jobs,
-                                timeout=self.timeout, retries=self.retries,
-                                on_result=on_result, health=self.health)
-        for point, run in zip(pending, executed):
-            results[point] = run
+        self.points_executed += len(pending)
+        parallel_map(execute_point, [group[0] for group in pending],
+                     jobs=self.jobs, timeout=self.timeout,
+                     retries=self.retries, on_result=on_result,
+                     health=self.health)
         return {point: results[point] for point in points}
-
-    def _run_lanes(self, pending, run_dict):
-        """Lane-mode execution: dispatch whole packs per worker.
-
-        Yields ``(point, run)`` for every pending point. Pack-level
-        retry/timeout supervision rides the same :func:`parallel_map`;
-        a pack is the retry unit (its lanes share one simulation, so a
-        poisoned lane poisons its pack).
-        """
-        from repro.lanes import execute_pack, plan_packs
-
-        packs = plan_packs(pending, self.lanes)
-
-        def on_pack(index, outcome):
-            runs, stats = outcome
-            self.lane_stats.merge(stats)
-            for point, run in zip(packs[index].points, runs):
-                if self.cache is not None:
-                    self.cache.put(point, run_dict(run))
-                self._complete(point, run, from_cache=False)
-
-        executed = parallel_map(execute_pack, packs, jobs=self.jobs,
-                                timeout=self.timeout, retries=self.retries,
-                                on_result=on_pack, health=self.health)
-        for pack, (runs, _stats) in zip(packs, executed):
-            yield from zip(pack.points, runs)
 
     def _complete(self, point, run, from_cache: bool) -> None:
         if self.manifest is not None:

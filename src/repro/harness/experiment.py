@@ -248,7 +248,7 @@ def _grid_workload_names(workloads, iterations: int) -> list[str] | None:
 
 def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
           workloads=None, seed: int = 0, jobs: int = 1, cache=None,
-          progress=None, lanes: int = 0) -> dict[tuple[str, str], SuiteResult]:
+          progress=None) -> dict[tuple[str, str], SuiteResult]:
     """The full Fig. 9 grid: every core × every configuration.
 
     Routed through the :mod:`repro.dse` executor: ``jobs`` fans the grid
@@ -256,11 +256,8 @@ def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
     :class:`repro.dse.cache.ResultCache`) makes warm re-runs
     near-instant, and ``progress`` receives one
     ``(point, result, from_cache)`` call per completed grid point.
-    ``lanes >= 2`` batches congruent grid points into lane packs
-    (:mod:`repro.lanes`) so each worker dispatch covers many points.
     Results are keyed and ordered by grid position regardless of
-    completion order, so exports are byte-identical across ``jobs``
-    and ``lanes``.
+    completion order, so exports are byte-identical across ``jobs``.
     """
     names = _grid_workload_names(workloads, iterations)
     if names is None:  # ad-hoc workloads: in-process fallback
@@ -280,5 +277,5 @@ def sweep(cores=CORE_NAMES, configs=EVALUATED_CONFIGS, iterations: int = 20,
     points = build_grid(cores=cores, configs=configs, workloads=names,
                         iterations=iterations, seed=seed)
     runs = DSEExecutor(jobs=jobs, cache=cache,
-                       progress=progress, lanes=lanes).run(points)
+                       progress=progress).run(points)
     return group_suites(points, runs)

@@ -1,17 +1,23 @@
 """Request coalescing: dedup against the cache and in-flight work.
 
 Every request is content-hashed with *exactly* the key scheme of the
-DSE result cache (:func:`repro.dse.cache.point_key`): grid point +
-schema + source fingerprint. That shared scheme is what makes coalescing
-safe — two requests with equal keys are guaranteed byte-identical
-results, so they may share one execution:
+DSE result cache (:func:`repro.dse.cache.point_key`): the grid point's
+seed-free identity + schema + source and kernel fingerprints. That
+shared scheme is what makes coalescing safe — two requests with equal
+keys run the same simulation, and their payloads are identical except
+for the seed each one's own point derives — so they may share one
+execution, seed-only variants included:
 
-* **cache**: a completed identical run exists → served immediately,
-  no queue slot consumed;
-* **in-flight**: an identical job is queued or executing → the new
-  request attaches as a *follower* of that leader and resolves with the
-  leader's payload;
+* **cache**: a completed run of the same simulation exists → served
+  immediately, no queue slot consumed;
+* **in-flight**: a job for the same simulation is queued or executing →
+  the new request attaches as a *follower* of that leader and resolves
+  with its own copy of the leader's payload;
 * **new**: the request takes a queue slot and becomes a leader itself.
+
+The server stamps every delivered payload with its request's derived
+seed and gives each result a private copy
+(:meth:`repro.service.server.SimulationService._resolve`).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class Coalescer:
         """Classify a request: ``(kind, value)``.
 
         ``("cache", payload)`` — completed run payload from the cache;
-        ``("inflight", leader)`` — identical job currently live;
+        ``("inflight", leader)`` — same-simulation job currently live;
         ``("new", key)`` — nothing to share, caller must enqueue.
         """
         key = self.key(point)

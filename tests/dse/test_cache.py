@@ -6,9 +6,11 @@ import pytest
 
 from repro.dse import GridPoint, ResultCache, SweepManifest, source_fingerprint
 from repro.errors import ExplorationError
+from repro.harness import derive_point_seed
 
 POINT = GridPoint("cv32e40p", "SLT", "yield_pingpong", iterations=2, seed=1)
-PAYLOAD = {"core": "cv32e40p", "config": "SLT", "latencies": [69, 70]}
+PAYLOAD = {"core": "cv32e40p", "config": "SLT", "latencies": [69, 70],
+           "seed": POINT.run_seed}
 
 
 class TestFingerprint:
@@ -36,9 +38,41 @@ class TestResultCache:
             GridPoint("cv32e40p", "T", "yield_pingpong", 2, 1),
             GridPoint("cv32e40p", "SLT", "sem_signal", 2, 1),
             GridPoint("cv32e40p", "SLT", "yield_pingpong", 3, 1),
-            GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, 2),
         ):
             assert cache.key(other) != base
+
+    def test_key_ignores_the_seed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        variant = GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, 7)
+        assert variant.identity == POINT.identity
+        assert cache.key(variant) == cache.key(POINT)
+        assert cache.path(variant) == cache.path(POINT)
+
+    def test_fuzz_scenario_seed_stays_in_the_identity(self):
+        # A scenario's own seed is a simulation input, carried by its
+        # workload name; only the grid point's bookkeeping seed drops.
+        a = GridPoint("cv32e40p", "SLT", "fuzz:mixed_crit:s5", 2, 0)
+        b = GridPoint("cv32e40p", "SLT", "fuzz:mixed_crit:s6", 2, 0)
+        assert a.identity != b.identity
+
+    def test_seed_variant_hit_is_stamped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(POINT, PAYLOAD)
+        variant = GridPoint("cv32e40p", "SLT", "yield_pingpong", 2, 9)
+        payload = cache.get(variant)
+        assert payload == dict(PAYLOAD, seed=derive_point_seed(
+            9, "cv32e40p", "SLT", "yield_pingpong"))
+        assert payload["seed"] != PAYLOAD["seed"]
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+        assert len(cache) == 1
+
+    def test_hits_are_private_copies(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(POINT, PAYLOAD)
+        first = cache.get(POINT)
+        first["latencies"].append(1)
+        first["seed"] = 0
+        assert cache.get(POINT) == PAYLOAD
 
     def test_source_change_invalidates(self, tmp_path):
         old = ResultCache(tmp_path, fingerprint="aaaa")
@@ -47,6 +81,23 @@ class TestResultCache:
         assert new.get(POINT) is None
         assert new.stats.invalidated == 1
         assert len(list(tmp_path.glob("*.json"))) == 0
+
+    def test_schema3_seed_entries_are_reaped(self, tmp_path):
+        # Schema 3 named entries per seed (`-i<N>-s<seed>`); a miss on
+        # the identity reaps them, and `-i1` never reaps `-i10`.
+        point = GridPoint("cv32e40p", "SLT", "yield_pingpong", 1, 3)
+        stem, key = "cv32e40p-SLT-yield_pingpong", "0123456789abcdef"
+        stale = tmp_path / f"{stem}-i1-s3.{key}.json"
+        stale.write_text(json.dumps({"schema": 3, "run": PAYLOAD}))
+        others = [tmp_path / f"{stem}-i10-s3.{key}.json",
+                  tmp_path / f"{stem}-i10.{key}.json"]
+        for other in others:
+            other.write_text("{}")
+        cache = ResultCache(tmp_path)
+        assert cache.get(point) is None
+        assert cache.stats.invalidated == 1
+        assert not stale.exists()
+        assert all(other.exists() for other in others)
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -9,6 +9,8 @@ import pytest
 from repro.dse import (
     DSEExecutor,
     GridPoint,
+    ResultCache,
+    SweepManifest,
     build_grid,
     execute_point,
     group_suites,
@@ -17,6 +19,7 @@ from repro.dse import (
 from repro.dse.executor import PoolHealth
 from repro.errors import ExplorationError
 from repro.harness.experiment import derive_point_seed
+from repro.harness.export import run_dict
 
 
 def _double(value):
@@ -215,3 +218,48 @@ class TestDSEExecutor:
             assert [r.workload for r in suite.runs] == \
                 ["yield_pingpong", "sem_signal"]
             assert suite.stats.count > 0
+
+
+class TestSeedGrouping:
+    """Seed-only variants of a sweep share one simulation."""
+
+    SEEDS = (0, 1, 2)
+
+    @staticmethod
+    def _grid(seed):
+        return build_grid(cores=("cv32e40p",), configs=("vanilla", "SLT"),
+                          workloads=("yield_pingpong", "sem_signal"),
+                          iterations=2, seed=seed)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_multi_seed_sweep_equals_per_seed_sweeps(self, jobs, tmp_path):
+        points = [point for seed in self.SEEDS for point in self._grid(seed)]
+        seen = []
+        cache = ResultCache(tmp_path / "cache")
+        manifest = SweepManifest(tmp_path / "manifest.json")
+        executor = DSEExecutor(jobs=jobs, cache=cache, manifest=manifest,
+                               progress=lambda p, r, c: seen.append((p, c)))
+        runs = executor.run(points)
+        identities = len(points) // len(self.SEEDS)
+        assert executor.points_executed == identities
+        assert len(cache) == cache.stats.stores == identities
+        assert list(runs) == points
+        assert sorted(seen, key=lambda item: points.index(item[0])) == \
+            [(p, False) for p in points]
+        assert manifest.done_count(points) == len(points)
+        for seed in self.SEEDS:
+            single = DSEExecutor(jobs=1).run(self._grid(seed))
+            for point, run in single.items():
+                assert run_dict(runs[point]) == run_dict(run)
+                assert runs[point].seed == point.run_seed
+
+    def test_cached_identity_serves_every_seed(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        DSEExecutor(cache=cache).run(self._grid(42))
+        warm = DSEExecutor(cache=cache)
+        runs = warm.run(self._grid(43))
+        assert warm.points_executed == 0
+        assert cache.stats.hits == len(runs)
+        cold = DSEExecutor().run(self._grid(43))
+        assert [run_dict(run) for run in runs.values()] == \
+            [run_dict(run) for run in cold.values()]

@@ -28,7 +28,9 @@ class TestKeyScheme:
         coalescer = Coalescer(fingerprint="f00d")
         base = coalescer.key(_point(seed=0))
         assert coalescer.key(_point(seed=0)) == base
-        assert coalescer.key(_point(seed=1)) != base
+        # The seed is bookkeeping, not a simulation input: seed-only
+        # variants share one key and so one execution.
+        assert coalescer.key(_point(seed=1)) == base
         assert coalescer.key(_point(config="S")) != base
 
     def test_fingerprint_inherited_from_cache(self, tmp_path):
@@ -56,7 +58,52 @@ class TestLookup:
         cache.put(point, {"fake": "payload"})
         kind, payload = Coalescer(cache).lookup(point)
         assert kind == "cache"
-        assert payload == {"fake": "payload"}
+        assert payload == {"fake": "payload", "seed": point.run_seed}
+
+
+def _seed_free(run):
+    return {key: value for key, value in run.items() if key != "seed"}
+
+
+class TestSeedVariants:
+    """Seed-only variants share one simulation, each with its own seed."""
+
+    def test_inflight_variant_gets_its_own_seed(self):
+        requests = [JobRequest(core="cv32e40p", config="SLT",
+                               workload="yield_pingpong", iterations=1,
+                               seed=seed) for seed in (0, 5)]
+
+        async def go():
+            async with SimulationService() as service:
+                futures = [await service.submit(request)
+                           for request in requests]
+                return await asyncio.gather(*futures), service.stats
+
+        (leader, follower), stats = asyncio.run(go())
+        assert (leader.served_by, follower.served_by) == \
+            ("executed", "coalesced")
+        assert stats.executed == 1
+        for request, result in zip(requests, (leader, follower)):
+            assert result.run["seed"] == request.point().run_seed
+        assert leader.run["seed"] != follower.run["seed"]
+        assert _seed_free(leader.run) == _seed_free(follower.run)
+
+    def test_cached_variant_is_stamped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+
+        async def serve(seed):
+            async with SimulationService(cache=cache) as service:
+                return await service.submit_and_wait(JobRequest(
+                    core="cv32e40p", config="SLT",
+                    workload="yield_pingpong", iterations=1, seed=seed))
+
+        first = asyncio.run(serve(0))
+        variant = asyncio.run(serve(3))
+        assert (first.served_by, variant.served_by) == ("executed", "cache")
+        assert variant.run["seed"] == variant.request.point().run_seed
+        assert variant.run["seed"] != first.run["seed"]
+        assert _seed_free(variant.run) == _seed_free(first.run)
+        assert len(cache) == 1
 
 
 class TestAcceptance:

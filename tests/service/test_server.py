@@ -1,6 +1,7 @@
 """Server lifecycle, error propagation and backpressure end to end."""
 
 import asyncio
+import copy
 import time
 
 import pytest
@@ -123,6 +124,36 @@ class TestErrorPropagation:
         assert second.served_by == "executed"  # not a (stale) cache hit
 
 
+class TestPrivateResults:
+    def test_mutating_one_result_reaches_no_other(self, tmp_path):
+        # A leader, an exact copy and a seed-only variant in flight
+        # together, then a cache hit: no two results share an object.
+        from repro.dse import ResultCache
+
+        cache = ResultCache(tmp_path)
+        variant = JobRequest(core="cv32e40p", config="SLT",
+                             workload="yield_pingpong", iterations=1, seed=4)
+
+        async def go():
+            async with SimulationService(cache=cache) as service:
+                futures = [await service.submit(request)
+                           for request in (REQ, REQ, variant)]
+                results = list(await asyncio.gather(*futures))
+                results.append(await service.submit_and_wait(REQ))
+                return results
+
+        results = run(go())
+        before = [copy.deepcopy(r.run) for r in results]
+        results[0].run["latencies"].append(-1)
+        results[0].run["switches"][0][0] = -1
+        results[0].run["seed"] = -1
+        for result, expected in zip(results[1:], before[1:]):
+            assert result.run == expected
+        assert cache.get(REQ.point()) == before[1]
+        assert [r.served_by for r in results] == \
+            ["executed", "coalesced", "coalesced", "cache"]
+
+
 class TestBackpressure:
     def test_queue_full_is_structured_not_blocking(self, monkeypatch):
         def slow_batch(points, jobs=1, retries=1, timeout=None, health=None,
@@ -141,11 +172,12 @@ class TestBackpressure:
                 first = await service.submit(REQ)   # dispatches
                 futures = [first]
                 rejections = 0
-                # Fill the single queue slot, then overflow it.
-                for seed in range(1, 6):
+                # Fill the single queue slot, then overflow it, with
+                # distinct simulations (seed-only variants coalesce).
+                for iterations in range(2, 7):
                     request = JobRequest(core="cv32e40p", config="SLT",
                                          workload="yield_pingpong",
-                                         iterations=1, seed=seed)
+                                         iterations=iterations)
                     try:
                         futures.append(await service.submit(request))
                     except QueueFullError as exc:
@@ -181,8 +213,9 @@ class TestBatching:
             async with service:
                 futures = [await service.submit(
                     JobRequest(core="cv32e40p", config="SLT",
-                               workload="yield_pingpong", iterations=1,
-                               seed=seed)) for seed in range(8)]
+                               workload="yield_pingpong",
+                               iterations=iterations))
+                    for iterations in range(1, 9)]
                 await asyncio.gather(*futures)
                 return service.stats
         stats = run(go())

@@ -89,8 +89,8 @@ class TestServiceShedding:
             # Stall the scheduler so the queue holds depth: no batches.
             service.batcher.next_batch = _never_ready
             service.start()
-            for seed in range(2):
-                await service.submit(_request("bulk", seed))
+            for index in range(2):
+                await service.submit(_request("bulk", index))
             with pytest.raises(QueueFullError) as exc_info:
                 await service.submit(_request("bulk", 99))
             assert exc_info.value.tier == "bulk"
@@ -103,9 +103,11 @@ class TestServiceShedding:
         async def _never_ready():
             await asyncio.sleep(3600)
 
-        def _request(priority, seed):
+        def _request(priority, index):
+            # Distinct iteration counts make distinct simulations:
+            # seed-only variants would coalesce instead of queueing.
             return JobRequest(core="cv32e40p", config="SLT",
-                              workload="yield_pingpong", iterations=1,
-                              seed=seed, priority=priority)
+                              workload="yield_pingpong",
+                              iterations=1 + index, priority=priority)
 
         asyncio.run(go())
